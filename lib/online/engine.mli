@@ -92,7 +92,8 @@ type t = {
   name : string;
   make : unit -> stepper;
   make_indexed : (unit -> indexed_stepper) option;
-      (** Optional O(log n) fast path used by {!run_indexed}.  When
+      (** Optional O(log n) fast path used by {!run_indexed} and by
+          [dbp serve]'s stream engine.  When
           [None] the plain stepper is driven with views materialised
           from the open list.  A fast path must make exactly the
           decisions of the plain stepper: the differential suite runs

@@ -5,6 +5,7 @@
 
 open Dbp_core
 module E = Dbp_online.Engine
+module Fit_index = Dbp_online.Fit_index
 
 type bin = {
   idx : int;
@@ -12,16 +13,25 @@ type bin = {
   mutable level : float;
   mutable active : int;
   mutable residents : Item.t list;  (* reverse placement order *)
+  mutable slot : int;  (* fit-index leaf *)
   mutable prev : int;  (* open-list links by bin index; -1 = none *)
   mutable next : int;
 }
 
 type t = {
   algo : E.t;
-  stepper : E.stepper;
+  stepper : E.indexed_stepper;
+  index : E.index;  (* the stepper's window onto this engine *)
   bins : (int, bin) Hashtbl.t;  (* open bins only *)
   active_ids : (int, unit) Hashtbl.t;
   departures : (float * Item.t * int) Heap.t;  (* (departure, item, bin) *)
+  (* Fit index over leaf slots.  Slots are handed out in opening order
+     and repacked in open-list order, so slot order is bin-index order
+     and the index's lowest-slot tie-breaks are lowest-index ones. *)
+  mutable fit : Fit_index.t;
+  mutable slot_bin : int array;  (* slot -> bin index, -1 = free *)
+  mutable slots : int;  (* slots handed out since the last rebuild *)
+  mutable rebuilds : int;
   mutable head : int;
   mutable tail : int;
   mutable bins_ever : int;
@@ -37,34 +47,132 @@ let dep_cmp (t1, i1, _) (t2, i2, _) =
   let c = Float.compare t1 t2 in
   if c <> 0 then c else Int.compare (Item.id i1) (Item.id i2)
 
-let create ?observer algo =
-  {
-    algo;
-    stepper = algo.E.make ();
-    bins = Hashtbl.create 64;
-    active_ids = Hashtbl.create 64;
-    departures = Heap.create ~cmp:dep_cmp ();
-    head = -1;
-    tail = -1;
-    bins_ever = 0;
-    placed = 0;
-    departed = 0;
-    clock = Float.neg_infinity;
-    obs = observer;
-  }
-
-let set_observer t obs = t.obs <- obs
+(* Smallest slot capacity; fixed, not configurable. *)
+let min_slots = 16
 
 let bin_of t idx =
   match Hashtbl.find_opt t.bins idx with
   | Some lb -> lb
   | None -> invalid_arg "Stream_engine.bin_of: not an open bin"
 
+(* [state] rebuilds the bin from the residents captured now, so forcing
+   it later still sees this instant. *)
+let view_of lb =
+  let index = lb.idx and residents = lb.residents in
+  {
+    E.index;
+    opened_at = lb.opened_at;
+    level = lb.level;
+    state = lazy (Bin_state.of_placement ~index (List.rev residents));
+  }
+
+(* Open-bin views in index order — the list a plain [decide] receives.
+   Only an algorithm without an indexed stepper ever asks for it. *)
+let views t =
+  let rec go idx acc =
+    if idx < 0 then List.rev acc
+    else
+      let lb = bin_of t idx in
+      go lb.next (view_of lb :: acc)
+  in
+  go t.head []
+
+let view t idx = Option.map view_of (Hashtbl.find_opt t.bins idx)
+
+let fit_query q t item =
+  match q t.fit ~size:(Item.size item) with
+  | Some slot -> E.Place t.slot_bin.(slot)
+  | None -> E.Open_new
+
+(* The algorithm's indexed stepper, or its plain one fed the full view
+   list: the same fallback as the batch engine's. *)
+let indexed_stepper algo =
+  match algo.E.make_indexed with
+  | Some make -> make ()
+  | None ->
+      let s = algo.E.make () in
+      {
+        E.i_decide =
+          (fun ~now ~index item ->
+            s.E.decide ~now ~open_bins:(index.E.open_views ()) item);
+        i_notify = s.E.notify;
+        i_departed = s.E.departed;
+      }
+
+let create ?observer algo =
+  let rec t =
+    {
+      algo;
+      stepper = indexed_stepper algo;
+      index =
+        {
+          E.open_views = (fun () -> views t);
+          view = (fun idx -> view t idx);
+          first_fit = (fun item -> fit_query Fit_index.first_fit t item);
+          best_fit = (fun item -> fit_query Fit_index.best_fit t item);
+          worst_fit = (fun item -> fit_query Fit_index.worst_fit t item);
+          open_count = (fun () -> Hashtbl.length t.bins);
+        };
+      bins = Hashtbl.create 64;
+      active_ids = Hashtbl.create 64;
+      departures = Heap.create ~cmp:dep_cmp ();
+      fit = Fit_index.create ();
+      slot_bin = Array.make min_slots (-1);
+      slots = 0;
+      rebuilds = 0;
+      head = -1;
+      tail = -1;
+      bins_ever = 0;
+      placed = 0;
+      departed = 0;
+      clock = Float.neg_infinity;
+      obs = observer;
+    }
+  in
+  t
+
+let set_observer t obs = t.obs <- obs
+
+(* Out of slots: rebuild the fit index over the open bins alone, packed
+   into slots 0..k-1 in open-list order, with at least k free slots
+   after them.  At most half the slots live, the capacity stays or
+   shrinks; otherwise it doubles.  The rebuild costs O(k) index writes
+   and buys at least k openings, so it is amortised O(1) per opened bin,
+   and the index stays under four times the bins open at the last
+   rebuild. *)
+let rebuild t =
+  let live = Hashtbl.length t.bins in
+  let cap = ref min_slots in
+  while !cap < 2 * live do
+    cap := 2 * !cap
+  done;
+  let fit = Fit_index.create () and slot_bin = Array.make !cap (-1) in
+  let rec go idx slot =
+    if idx < 0 then slot
+    else begin
+      let lb = bin_of t idx in
+      lb.slot <- slot;
+      slot_bin.(slot) <- idx;
+      Fit_index.open_bin fit slot;
+      Fit_index.set_level fit slot lb.level;
+      go lb.next (slot + 1)
+    end
+  in
+  t.slots <- go t.head 0;
+  t.fit <- fit;
+  t.slot_bin <- slot_bin;
+  t.rebuilds <- t.rebuilds + 1
+
 let append_bin t now =
+  if t.slots = Array.length t.slot_bin then rebuild t;
   let idx = t.bins_ever in
   t.bins_ever <- idx + 1;
+  let slot = t.slots in
+  t.slots <- slot + 1;
+  t.slot_bin.(slot) <- idx;
+  Fit_index.open_bin t.fit slot;
   let lb =
-    { idx; opened_at = now; level = 0.; active = 0; residents = [];
+    { idx; opened_at = now; level = 0.; active = 0; residents = []; slot;
       prev = t.tail; next = -1 }
   in
   Hashtbl.replace t.bins idx lb;
@@ -80,27 +188,6 @@ let unlink t lb =
   lb.prev <- -1;
   lb.next <- -1
 
-(* Open-bin views in index order — the list [decide] receives.  [state]
-   rebuilds the bin from the residents captured now, so forcing it later
-   still sees this instant. *)
-let views t =
-  let rec go idx acc =
-    if idx < 0 then List.rev acc
-    else
-      let lb = bin_of t idx in
-      let index = lb.idx and residents = lb.residents in
-      go lb.next
-        ({
-           E.index;
-           opened_at = lb.opened_at;
-           level = lb.level;
-           state =
-             lazy (Bin_state.of_placement ~index (List.rev residents));
-         }
-        :: acc)
-  in
-  go t.head []
-
 let depart t ~now item idx =
   let lb = bin_of t idx in
   lb.active <- lb.active - 1;
@@ -110,15 +197,18 @@ let depart t ~now item idx =
   Hashtbl.remove t.active_ids (Item.id item);
   t.departed <- t.departed + 1;
   if lb.active = 0 then begin
+    Fit_index.close_bin t.fit lb.slot;
+    t.slot_bin.(lb.slot) <- -1;
     unlink t lb;
     Hashtbl.remove t.bins lb.idx
-  end;
+  end
+  else Fit_index.set_level t.fit lb.slot lb.level;
   (match t.obs with
   | Some o ->
       o.Observer.on_departure ~time:now ~item;
       if lb.active = 0 then o.Observer.on_close_bin ~time:now ~bin:lb.idx
   | None -> ());
-  t.stepper.E.departed item
+  t.stepper.E.i_departed item
 
 let drain_until t upto =
   let rec go () =
@@ -137,13 +227,14 @@ let do_place t lb item =
   lb.active <- lb.active + 1;
   lb.level <- lb.level +. Item.size item;
   lb.residents <- item :: lb.residents;
+  Fit_index.set_level t.fit lb.slot lb.level;
   Hashtbl.replace t.active_ids (Item.id item) ();
   Heap.push t.departures (Item.departure item, item, lb.idx);
   t.placed <- t.placed + 1;
   (match t.obs with
   | Some o -> o.Observer.on_place ~time:(Item.arrival item) ~item ~bin:lb.idx
   | None -> ());
-  t.stepper.E.notify ~item ~index:lb.idx
+  t.stepper.E.i_notify ~item ~index:lb.idx
 
 let arrive t item =
   let now = Item.arrival item in
@@ -154,7 +245,7 @@ let arrive t item =
   (match t.obs with
   | Some o -> o.Observer.on_arrival ~time:now ~item
   | None -> ());
-  let decision = t.stepper.E.decide ~now ~open_bins:(views t) item in
+  let decision = t.stepper.E.i_decide ~now ~index:t.index item in
   (match t.obs with
   | Some o ->
       o.Observer.on_decision ~time:now ~item
@@ -218,4 +309,5 @@ let placed t = t.placed
 let departed t = t.departed
 let open_bins t = Hashtbl.length t.bins
 let open_jobs t = Hashtbl.length t.active_ids
+let index_rebuilds t = t.rebuilds
 let algo_name t = t.algo.E.name

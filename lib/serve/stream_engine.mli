@@ -8,20 +8,43 @@
     - a hashtable of {b open} bins (closed bins are evicted the instant
       their last resident departs — index, levels, residents, all of it);
     - a min-heap of pending departures, one entry per {b active} job;
-    - a doubly-linked open list in opening (index) order, so decide
-      views materialise in O(open bins) without touching history.
+    - a doubly-linked open list in opening (index) order;
+    - a {!Dbp_online.Fit_index} over the open bins' levels.
+
+    {b Decisions} go through the algorithm's indexed stepper
+    ([make_indexed]), handed one [Engine.index] built with the engine:
+    [view] is an O(1) probe of the bin table, and [first_fit],
+    [best_fit] and [worst_fit] are O(log n) fit-index queries.  No
+    arrival builds a view per open bin.  Only an algorithm without an
+    indexed stepper gets its plain [decide] fed [open_views], the full
+    list — the same fallback as the batch engine's.
+
+    {b Slots.}  Each open bin holds one leaf slot of the fit index,
+    handed out in opening order; a slot-to-bin array maps query results
+    back to bin indices.  When the slots run out the index is rebuilt
+    over the open bins alone, repacked into slots 0..k-1 in open-list
+    order: the capacity stays when at most half the slots were live and
+    doubles otherwise.  Repacking keeps slot order equal to bin-index
+    order, so the lowest-slot answer is the lowest-index bin — exactly
+    the batch engine's first-fit and tie-breaks.  A rebuild costs O(k)
+    and buys at least k openings: amortised O(1) per opened bin.
 
     Resident memory is therefore O(open jobs), independent of how many
-    arrivals the process has absorbed — the soak test in [bench serve]
-    streams 10^6 arrivals under a hard major-heap ceiling to pin this.
+    arrivals the process has absorbed: the fit index and slot array are
+    sized by the bins open at the last rebuild, never by the bins ever
+    opened.  The soak test in [bench serve] streams 10^6 arrivals under
+    a hard major-heap ceiling, and the serve tests compare the engine's
+    reachable words after 10^4 and 10^5 arrivals.
 
     Decisions are {b bit-identical} to [Engine.run] on the same arrival
-    sequence: views carry the same index/opened_at/level the reference
-    engine computes (level arithmetic mirrored operation-for-operation),
-    departures drain before arrivals at equal times with the same
-    (time, id) tie-break, and observer callbacks fire in the engine's
-    documented order.  The serve differential suite runs every portfolio
-    algorithm against [Engine.run] to enforce this.  The one deliberate
+    sequence: views carry the same index/opened_at/level the batch
+    engine computes and the fit index sees the same levels (level
+    arithmetic mirrored operation-for-operation), departures drain
+    before arrivals at equal times with the same (time, id) tie-break,
+    and observer callbacks fire in the engine's documented order.  The
+    serve differential suites run every portfolio algorithm against
+    [Engine.run] and [Engine.run_reference] to enforce this, the latter
+    at a scale that forces many rebuilds.  The one deliberate
     divergence: a view's lazy [state] rebuilds the bin from its {e
     active} residents only (history is evicted), so algorithms that read
     departed items out of [state] — none in the serve portfolio — are
@@ -40,7 +63,8 @@ type t
 type placement = { bin : int; opened : bool }
 
 val create : ?observer:Observer.t -> E.t -> t
-(** A fresh engine driving a fresh plain stepper of the algorithm. *)
+(** A fresh engine driving a fresh stepper of the algorithm: its indexed
+    one when it has one, else its plain one. *)
 
 val set_observer : t -> Observer.t option -> unit
 (** Swap the observer mid-stream (the shedding rung detaches it).
@@ -62,7 +86,8 @@ val is_active : t -> int -> bool
 val digest : t -> string
 (** MD5 hex over the live state (counters, open bins in index order,
     levels by bits, resident ids) — the equality token snapshots carry,
-    in the spirit of [Resilient.checkpoint]. *)
+    in the spirit of [Resilient.checkpoint].  Fit-index slots are not
+    part of it. *)
 
 (** {2 Counters} (monotone except the instantaneous two) *)
 
@@ -71,5 +96,8 @@ val placed : t -> int
 val departed : t -> int
 val open_bins : t -> int
 val open_jobs : t -> int
+
+val index_rebuilds : t -> int
+(** Fit-index rebuilds so far (each one a repack of the open bins). *)
 
 val algo_name : t -> string

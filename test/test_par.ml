@@ -254,8 +254,11 @@ let test_resident_close_drains () =
   | exception Invalid_argument _ -> ()
 
 let test_resident_failure_is_sticky () =
+  (* Fail on the last message: [post] pushes under the mailbox lock, so
+     the handler cannot reach message 9 before every [post] has returned,
+     and none of them can see the failure. *)
   let r =
-    Pool.Resident.spawn (fun x -> if x = 3 then failwith "boom")
+    Pool.Resident.spawn (fun x -> if x = 9 then failwith "boom")
   in
   for i = 0 to 9 do
     Pool.Resident.post r i

@@ -316,6 +316,144 @@ let prop_differential =
       && Stream_engine.bins_ever (Session.engine session)
          = Dbp_core.Packing.bin_count packing)
 
+(* ---- fit-index rebuilds: differential at scale, memory, digest pin ----- *)
+
+(* At least 2,000 items laid out in blocks three time units apart.  Each
+   block is one of the engine suite's adversarial shapes (an
+   equal-timestamp burst, a duration ramp) or a plain random cluster,
+   plus up to two long-lived anchor jobs.  Anchors hold bins open across
+   up to two dozen blocks while the blocks' own bins open and close around
+   them, so the engine runs out of fit-index slots and repacks many
+   times, with live bins scattered across the slots. *)
+let gen_compaction_instance =
+  QCheck2.Gen.(
+    let block =
+      let* shape = int_range 0 2 in
+      let* sub =
+        match shape with
+        | 0 -> gen_burst_instance ()
+        | 1 -> gen_ramp_instance ~max_cohorts:6 ~max_cohort_size:10 ()
+        | _ -> gen_instance ~max_items:40 ()
+      in
+      let* anchors =
+        list_size (int_range 0 2)
+          (pair (float_range 0.05 0.3) (float_range 20. 80.))
+      in
+      return (sub, anchors)
+    in
+    let+ blocks = list_repeat 100 block in
+    let items = ref [] and n = ref 0 in
+    let add size arrival departure =
+      items := Item.make ~id:!n ~size ~arrival ~departure :: !items;
+      incr n
+    in
+    List.iteri
+      (fun b (sub, anchors) ->
+        let start = 3. *. float_of_int b in
+        List.iter
+          (fun it ->
+            add (Item.size it) (start +. Item.arrival it)
+              (start +. Item.departure it))
+          (Dbp_core.Instance.items sub);
+        List.iter (fun (size, life) -> add size start (start +. life)) anchors)
+      blocks;
+    (* Top up with short unit-size churn past the last block. *)
+    while !n < 2_000 do
+      let arrival = 400. +. float_of_int !n in
+      add 1.0 arrival (arrival +. 0.5)
+    done;
+    Dbp_core.Instance.of_items !items)
+
+(* The seven portfolio algorithms, plus one without an indexed stepper
+   to drive the engine's [open_views] fallback. *)
+let compaction_algorithms =
+  Portfolio.algorithms () @ [ ("random-fit", Dbp_online.Any_fit.random_fit ~seed:7) ]
+
+let prop_differential_compaction =
+  qtest ~count:4 "stream engine = Engine.run_reference across index rebuilds"
+    gen_compaction_instance (fun inst ->
+      let arrivals = Dbp_core.Instance.arrivals_in_order inst in
+      List.for_all
+        (fun (name, algo) ->
+          let packing = E.run_reference algo inst in
+          let e = Stream_engine.create algo in
+          List.iter
+            (fun item ->
+              match Stream_engine.arrive e item with
+              | Ok { Stream_engine.bin; _ } ->
+                  let want = Dbp_core.Packing.bin_of_item packing (Item.id item) in
+                  if bin <> want then
+                    QCheck2.Test.fail_reportf "%s: job %d placed in bin %d, reference %d"
+                      name (Item.id item) bin want
+              | Error err ->
+                  QCheck2.Test.fail_reportf "%s: %s" name (E.error_to_string err))
+            arrivals;
+          if Stream_engine.index_rebuilds e < 5 then
+            QCheck2.Test.fail_reportf "%s: only %d index rebuilds over %d bins"
+              name (Stream_engine.index_rebuilds e) (Stream_engine.bins_ever e);
+          Stream_engine.bins_ever e = Dbp_core.Packing.bin_count packing)
+        compaction_algorithms)
+
+(* A periodic workload: a job every 0.5 time units, durations cycling
+   1..19, sizes cycling 0.1..0.4 — about 20 open jobs at any time. *)
+let stationary_item i =
+  let arrival = 0.5 *. float_of_int i in
+  Item.make ~id:i
+    ~size:(0.1 +. (0.05 *. float_of_int (i mod 7)))
+    ~arrival
+    ~departure:(arrival +. 1. +. (1.5 *. float_of_int (i mod 13)))
+
+let test_engine_memory_stays_bounded () =
+  List.iter
+    (fun name ->
+      let e = Stream_engine.create (Option.get (Portfolio.by_name name)) in
+      let most_open = ref 0 in
+      let feed lo hi =
+        for i = lo to hi - 1 do
+          (match Stream_engine.arrive e (stationary_item i) with
+          | Ok _ -> ()
+          | Error err -> Alcotest.failf "%s: %s" name (E.error_to_string err));
+          most_open := max !most_open (Stream_engine.open_bins e)
+        done
+      in
+      feed 0 10_000;
+      let early = Obj.reachable_words (Obj.repr e) in
+      feed 10_000 100_000;
+      let late = Obj.reachable_words (Obj.repr e) in
+      check_bool
+        (Printf.sprintf "%s: at most 20 open bins (saw %d)" name !most_open)
+        true (!most_open <= 20);
+      check_bool
+        (Printf.sprintf "%s: %d words after 10^4 arrivals, %d after 10^5"
+           name early late)
+        true
+        (float_of_int late <= 1.5 *. float_of_int early))
+    [ "first-fit"; "cbdt-ff" ]
+
+(* Digests computed by the engine before it drove indexed steppers:
+   snapshots written then must still verify now. *)
+let test_digest_pinned () =
+  let specs =
+    [ (0.5, 0., 10.); (0.4, 1., 3.); (0.3, 2., 12.); (0.6, 2.5, 8.);
+      (0.2, 4., 6.); (0.35, 5., 20.) ]
+  in
+  List.iter
+    (fun (name, want) ->
+      let e = Stream_engine.create (Option.get (Portfolio.by_name name)) in
+      List.iter
+        (fun item ->
+          match Stream_engine.arrive e item with
+          | Ok _ -> ()
+          | Error err -> Alcotest.failf "%s: %s" name (E.error_to_string err))
+        (items specs);
+      check_int (name ^ ": one job departed mid-stream") 1
+        (Stream_engine.departed e);
+      check_string (name ^ ": digest") want (Stream_engine.digest e))
+    [
+      ("first-fit", "98eaa78890454657f78ad190432acf5b");
+      ("cbdt-ff", "56ccc64b2bee5d776ce49888fe4cde03");
+    ]
+
 let test_engine_eviction_bounds_state () =
   (* strictly sequential jobs: every bin closes before the next opens,
      so open state stays O(1) while bins_ever grows without bound *)
@@ -745,6 +883,10 @@ let suite =
     Alcotest.test_case "snapshot save/load/rotation" `Quick
       test_snapshot_save_load_rotation;
     prop_differential;
+    prop_differential_compaction;
+    Alcotest.test_case "engine memory stays bounded" `Quick
+      test_engine_memory_stays_bounded;
+    Alcotest.test_case "engine digest pinned" `Quick test_digest_pinned;
     Alcotest.test_case "eviction bounds live state" `Quick
       test_engine_eviction_bounds_state;
     Alcotest.test_case "time travel refused" `Quick
