@@ -1441,15 +1441,16 @@ let serve_shard_sweep ~arrivals =
 
 (* ---- allocation microbench (PR 9) --------------------------------------
 
-   Minor words per arrival through the generic parse (field list +
-   per-key buffers) vs the in-place parse_into scratch path the router
-   thread runs.  The committed ceiling holds the zero-alloc path to its
-   budget: a regression that re-boxes the hot path fails the bench, not
-   just a profile. *)
+   Minor words per arrival through the in-place parse_into scratch path
+   (the one arrival parser), and through the whole Session.feed path it
+   sits on (parse, admission, engine decision, decision render) for
+   first-fit.  The committed ceiling holds parse_into to its budget: a
+   regression that re-boxes the hot path fails the bench, not just a
+   profile. *)
 
 type alloc_result = {
   al_lines : int;
-  al_parse_wpl : float;
+  al_feed_wpl : float;
   al_parse_into_wpl : float;
 }
 
@@ -1466,25 +1467,31 @@ let serve_alloc ~lines:n =
          items)
   in
   let m = Array.length arr in
-  let per_line f =
-    f ();
-    (* warm: caches, minor heap shape *)
+  (* [f] runs twice, the first pass warming caches and the minor heap
+     shape; [fresh] builds its per-pass state outside the measurement. *)
+  let per_line fresh f =
+    f (fresh ());
+    let st = fresh () in
     let before = Gc.minor_words () in
-    f ();
+    f st;
     (Gc.minor_words () -. before) /. float_of_int m
   in
-  let al_parse_wpl =
-    per_line (fun () ->
+  let al_feed_wpl =
+    per_line
+      (fun () -> serve_session ~snapshot_every:0 "first-fit")
+      (fun s ->
         Array.iter
           (fun line ->
-            match Sv.Arrival.parse line with
-            | Ok _ -> ()
-            | Error e -> failwith ("serve alloc bench: " ^ e))
+            match Sv.Session.feed s ~depth:0 line with
+            | Sv.Session.Emit _ -> ()
+            | Sv.Session.Replayed | Sv.Session.Skipped _ ->
+                failwith "serve alloc bench: line not decided"
+            | Sv.Session.Fatal f ->
+                failwith ("serve alloc bench: " ^ Sv.Session.fatal_to_string f))
           arr)
   in
-  let sc = Sv.Arrival.scratch () in
   let al_parse_into_wpl =
-    per_line (fun () ->
+    per_line Sv.Arrival.scratch (fun sc ->
         Array.iter
           (fun line ->
             match Sv.Arrival.parse_into sc line with
@@ -1499,12 +1506,11 @@ let serve_alloc ~lines:n =
           (ceiling %.0f)"
          al_parse_into_wpl parse_into_words_ceiling);
   Printf.printf
-    "  alloc %7d lines  parse %.1f w/line  parse_into %.1f w/line \
-     (ceiling %.0f, %.1fx less)\n\
+    "  alloc %7d lines  parse_into %.1f w/line (ceiling %.0f)  \
+     Session.feed %.1f w/line\n\
      %!"
-    m al_parse_wpl al_parse_into_wpl parse_into_words_ceiling
-    (al_parse_wpl /. al_parse_into_wpl);
-  { al_lines = m; al_parse_wpl; al_parse_into_wpl }
+    m al_parse_into_wpl parse_into_words_ceiling al_feed_wpl;
+  { al_lines = m; al_feed_wpl; al_parse_into_wpl }
 
 let serve_json ~tp_rows ~soak ~restart ~ladder ~shard_rows ~shard_gate ~alloc =
   let tp_json r =
@@ -1575,11 +1581,12 @@ let serve_json ~tp_rows ~soak ~restart ~ladder ~shard_rows ~shard_gate ~alloc =
         shard_gate.sg_speedup4
         (Dbp_par.Pool.available_cores ());
       Printf.sprintf
-        "  \"alloc\": {\"lines\": %d, \"parse_minor_words_per_line\": %.1f, \
+        "  \"alloc\": {\"lines\": %d, \
          \"parse_into_minor_words_per_line\": %.1f, \
-         \"parse_into_ceiling_words\": %.0f}\n"
-        alloc.al_lines alloc.al_parse_wpl alloc.al_parse_into_wpl
-        parse_into_words_ceiling;
+         \"parse_into_ceiling_words\": %.0f, \
+         \"session_feed_minor_words_per_line\": %.1f}\n"
+        alloc.al_lines alloc.al_parse_into_wpl parse_into_words_ceiling
+        alloc.al_feed_wpl;
       "}\n";
     ]
 

@@ -20,7 +20,7 @@ type use = {
 }
 
 (** One toplevel (possibly nested-module) value binding: canonical node
-    id ([Dbp_serve.Arrival.parse]), definition location, whether it
+    id ([Dbp_serve.Decision.parse]), definition location, whether it
     carries a [[@dbp.total]] attribute, the resolved uses in its body,
     and the body itself (consumed by {!Effects}). *)
 type def = {

@@ -26,6 +26,6 @@ val analyze : Callgraph.t list -> t
 val residual : t -> string -> (string * origin) list
 
 (** Render the call chain from an origin down to its concrete raise
-    site, e.g. ["Dbp_serve.Arrival.parse -> Dbp_serve.Json_lite.field ->
+    site, e.g. ["Dbp_serve.Decision.parse -> Dbp_serve.Json_lite.field ->
     call to List.hd (Failure) at lib/serve/json_lite.ml:42"]. *)
 val chain : t -> exn:string -> origin -> string

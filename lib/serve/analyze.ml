@@ -142,11 +142,13 @@ let union_span intervals =
 let parse_arrivals lines =
   let tbl = Hashtbl.create 1024 in
   let malformed = ref 0 in
+  let scratch = Arrival.scratch () in
   List.iter
     (fun line ->
-      match Arrival.parse line with
+      match Arrival.parse_into scratch line with
       | Error _ -> incr malformed
-      | Ok item ->
+      | Ok () ->
+          let item = Arrival.item scratch in
           Hashtbl.replace tbl
             (Dbp_core.Item.id item)
             {

@@ -1,18 +1,5 @@
 open Dbp_core
 
-let[@dbp.total] parse line =
-  match Json_lite.parse_object line with
-  | Error e -> Error e
-  | Ok fields -> (
-      let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
-      let* id = Json_lite.int_field fields "id" in
-      let* size = Json_lite.num_field fields "size" in
-      let* arrival = Json_lite.num_field fields "arrival" in
-      let* departure = Json_lite.num_field fields "departure" in
-      match Item.make ~id ~size ~arrival ~departure with
-      | item -> Ok item
-      | exception Invalid_argument msg -> Error msg)
-
 let render ?tenant item =
   let tenant_field =
     match tenant with
@@ -28,12 +15,12 @@ let render ?tenant item =
 
 (* ---- the zero-alloc parse path ---------------------------------------- *)
 
-(* [parse_into] re-implements exactly the grammar of [parse] (i.e. of
-   Json_lite.parse_object + the four field checks + Item.make) as a
-   single in-place scan: no field list, no per-key Buffer, no value
-   boxes.  The differential qcheck suite feeds both parsers arbitrary
-   byte strings and asserts Ok/Error agreement with bit-equal items, so
-   any drift between the two is a test failure, not a silent fork.
+(* [parse_into] is the grammar of Json_lite.parse_object + the four
+   field checks + Item.make, as a single in-place scan: no field list,
+   no per-key Buffer, no value boxes.  The test suite keeps that
+   composition as an oracle and feeds both arbitrary byte strings,
+   asserting Ok/Error agreement with bit-equal items, so any drift from
+   the generic JSON reader is a test failure, not a silent fork.
 
    Remaining allocations per well-formed line: one short substring per
    number token (float_of_string needs a real string), its boxed float,
@@ -91,40 +78,6 @@ let scratch () =
   }
 
 let item sc = sc.s_item
-
-let tenant sc =
-  if sc.s_tenant_len = 0 then Router.default_tenant
-  else if not sc.s_tenant_esc then
-    String.sub sc.s_line sc.s_tenant_off sc.s_tenant_len
-  else begin
-    (* Escaped tenants are the cold path; decode through a buffer with
-       the same escape table the generic parser uses. *)
-    let buf = Buffer.create sc.s_tenant_len in
-    let i = ref sc.s_tenant_off in
-    let stop = sc.s_tenant_off + sc.s_tenant_len in
-    while !i < stop do
-      (match sc.s_line.[!i] with
-      | '\\' when !i + 1 < stop ->
-          (match sc.s_line.[!i + 1] with
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | c -> Buffer.add_char buf c);
-          incr i
-      | c -> Buffer.add_char buf c);
-      incr i
-    done;
-    Buffer.contents buf
-  end
-
-let shard_for router sc =
-  if sc.s_tenant_len = 0 || sc.s_tenant_esc then
-    Router.shard_for router (tenant sc)
-  else
-    Router.shard_for_sub router sc.s_line ~off:sc.s_tenant_off
-      ~len:sc.s_tenant_len
 
 exception Fail of string
 
@@ -201,6 +154,21 @@ let decode_slice sc off len =
     incr i
   done;
   Buffer.contents buf
+
+let tenant sc =
+  if sc.s_tenant_len = 0 then Router.default_tenant
+  else if not sc.s_tenant_esc then
+    String.sub sc.s_line sc.s_tenant_off sc.s_tenant_len
+  else
+    (* Escaped tenants are the cold path. *)
+    decode_slice sc sc.s_tenant_off sc.s_tenant_len
+
+let shard_for router sc =
+  if sc.s_tenant_len = 0 || sc.s_tenant_esc then
+    Router.shard_for router (tenant sc)
+  else
+    Router.shard_for_sub router sc.s_line ~off:sc.s_tenant_off
+      ~len:sc.s_tenant_len
 
 (* Leaves the parsed value in [s_nums.nm_val] — an unboxed store, where
    returning the float would box it at every call. *)
@@ -279,7 +247,7 @@ let rec parse_fields sc n =
   else begin
     (* Unknown keys are the cold path: decode for exact duplicate
        semantics (escaped spellings of the same key collide, as
-       they do in the generic parser). *)
+       they do in Json_lite.parse_object). *)
     let key = decode_slice sc koff klen in
     if List.mem key sc.s_unknown then fail sc.s_pos ("duplicate key " ^ key);
     sc.s_unknown <- key :: sc.s_unknown
@@ -312,8 +280,8 @@ let rec parse_fields sc n =
      end
      else
        (* A non-string tenant routes as the default tenant, like a
-          line with no tenant at all — [parse] ignores the field
-          entirely, so agreement only needs the syntax check. *)
+          line with no tenant at all — the item ignores the field
+          entirely, so only the syntax check matters. *)
        skip_value sc n
    end
    else skip_value sc n);

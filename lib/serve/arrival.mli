@@ -2,51 +2,50 @@
 
     {[ {"id":17,"size":0.25,"arrival":3,"departure":7.5,"tenant":"t1"} ]}
 
-    {!parse} is the lenient half of the malformed-input contract, in the
-    spirit of [Dbp_workload.Trace.of_string_lenient]: it is {e total} —
-    any byte string yields [Ok item] or [Error reason], never an
-    exception — so the daemon can skip and count bad lines instead of
-    dying mid-stream.  Validation bottoms out in [Item.make]: sizes
-    outside (0, 1], non-finite times and non-positive durations are
-    rejected with the smart constructor's own message.
+    One grammar, one parser: {!parse_into} scans a line in place into a
+    reusable {!scratch}, with the [tenant] field captured as a slice so
+    routing ({!shard_for}) allocates nothing either.  Every reader of
+    arrival lines uses it — the unsharded session, the sharded router
+    thread and [dbp analyze] — each with its own scratch.
+
+    The grammar is that of a flat {!Json_lite.parse_object} object with
+    [id]/[size]/[arrival]/[departure] required ([id] integral) and
+    unknown fields ignored, validated by [Item.make]: sizes outside
+    (0, 1], non-finite times and non-positive durations are rejected
+    with the smart constructor's own message.  The test suite keeps that
+    composition as a differential oracle (same Ok/Error verdict on
+    arbitrary bytes, bit-equal items).
+
+    The parser is the lenient half of the malformed-input contract, in
+    the spirit of [Dbp_workload.Trace.of_string_lenient]: it is
+    {e total} — any byte string yields [Ok] or [Error reason], never an
+    exception — so a daemon can skip and count bad lines instead of
+    dying mid-stream.
 
     {!render} is the exact inverse: floats print with enough digits to
     re-parse bit-identically ({!Json_lite.fmt_num}), which [dbp gen
-    --jsonl] relies on to produce streams that replay exactly.
-
-    {!parse_into} is the sharded daemon's hot path: the same grammar as
-    {!parse}, scanned in place into a reusable {!scratch} with no
-    intermediate field list — plus the [tenant] field captured as a
-    slice so routing ({!shard_for}) allocates nothing either.  The two
-    parsers are kept in lockstep by a differential qcheck suite (same
-    Ok/Error verdict on arbitrary bytes, bit-equal items). *)
+    --jsonl] relies on to produce streams that replay exactly. *)
 
 open Dbp_core
 
-val parse : string -> (Item.t, string) result
-(** Never raises.  Unknown fields are ignored; [id]/[size]/[arrival]/
-    [departure] are required, [id] integral.  A [tenant] field of any
-    type is ignored like other unknown fields. *)
-
 val render : ?tenant:string -> Item.t -> string
-(** One line (no trailing newline); [parse (render i)] returns an item
-    equal to [i] field-for-field.  With [?tenant], appends a
+(** One line (no trailing newline); parsing it back yields an item
+    equal to the input field-for-field.  With [?tenant], appends a
     [,"tenant":"..."] field (escaped). *)
 
-(** {2 Zero-allocation parse path} *)
+(** {2 Parsing} *)
 
 type scratch
 (** Reusable parse destination: the parsed item plus the tenant slice of
-    the last line fed to {!parse_into}.  One scratch per shard-router
-    thread; not thread-safe. *)
+    the last line fed to {!parse_into}.  One scratch per reader (session,
+    router thread); not thread-safe. *)
 
 val scratch : unit -> scratch
 
 val parse_into : scratch -> string -> (unit, string) result
-(** Parse one line into [scratch].  Total, like {!parse}, and agrees
-    with it exactly: [Ok] iff [parse] returns [Ok], and then {!item}
-    is bit-equal to [parse]'s item.  On [Error] the scratch contents
-    are unspecified. *)
+(** Parse one line into [scratch].  Never raises.  A [tenant] field of
+    any type is accepted; only a string one is captured for routing.
+    On [Error] the scratch contents are unspecified. *)
 
 val item : scratch -> Item.t
 (** The item of the last successful {!parse_into}. *)

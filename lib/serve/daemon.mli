@@ -1,21 +1,41 @@
-(** The [dbp serve] process shell: every byte of real IO in one module.
+(** The [dbp serve] process shell, and the one serve lifecycle both
+    daemons run.
 
-    Everything decision-shaped lives in {!Session}; the daemon moves
-    lines between the input (stdin, a file, or a Unix-domain socket
-    server), the durable output/journal file, the snapshot files and the
-    metrics sink.  This module is the {e only} place in the tree allowed
-    to use Unix socket/file-descriptor/signal APIs (lint rule R9) — the
-    confinement that keeps every other library pure and testable.
+    Everything decision-shaped lives in {!Session}; a daemon moves lines
+    between the input (stdin, a file, or a Unix-domain socket server),
+    the durable journal, the snapshot files and the metrics sink.  Lint
+    rule R9 confines Unix socket/file-descriptor/signal APIs to
+    [lib/serve/]; within it, this module owns the process-facing
+    plumbing, so every other library stays pure and testable.
+
+    {!run} is the unsharded daemon; {!Shard.run} is the sharded one.
+    Both hand their own drive loop to {!lifecycle}, which owns every
+    piece they share:
+    - opening each journal for the run ([host.open_journal]): snapshot
+      checkpoint load and algorithm check, torn-tail truncation, the
+      streaming replay reader, the "snapshot cursor > 0 but the journal
+      is missing" check, and the truncate-or-append output channel
+      (created when absent, so [--resume] before the first run starts
+      fresh);
+    - cutting snapshots ({!cut_snapshot});
+    - the metrics sink: registry, health gauges, build info, span
+      recorder, and the dump to a file, stdout or JSON;
+    - the Unix-domain listener (stale-socket unlink, bind, cleanup),
+      SIGUSR1 (dump between lines) and, in socket mode, SIGINT/SIGTERM
+      (stop the accept loop cleanly, final snapshot included);
+    - teardown of everything opened, on every exit path, and the
+      translation of [Sys_error]/[Unix_error] into [Error].
+
+    The two drive loops stay separate on purpose: their socket echo
+    semantics differ observably (unsharded echoes block and never drop;
+    sharded echoes are best-effort and non-blocking).
 
     Operational behaviour:
     - Decision lines are flushed before any snapshot is cut, preserving
       the invariant snapshot cursor <= durable journal lines.
-    - On [resume]: a torn final output line (the [kill -9] landed
+    - On [resume]: a torn final journal line (the [kill -9] landed
       mid-write) is truncated away, the journal is streamed back through
       the session's replay mode, and only then does live output append.
-    - [SIGUSR1] dumps the metrics registry to [metrics_out] between
-      lines; so does end-of-stream.  SIGINT/SIGTERM in socket mode stop
-      the accept loop cleanly (final snapshot included).
     - [crash_after] hard-kills the process ([SIGKILL] to self) after
       that many emitted lines — the crash-injection hook the check.sh
       smoke and the property tests use to make "kill at a random point"
@@ -70,26 +90,74 @@ val run : config -> Session.config -> (stats, string) result
     {!Session.fatal}, snapshot-load failure, or configuration defect;
     the CLI prints it and exits non-zero. *)
 
-(** {2 Journal recovery plumbing} (shared with the sharded daemon,
-    {!Shard}, which applies them to each journal segment) *)
+(** {2 The serve lifecycle} *)
 
-val truncate_torn_tail : string -> int
-(** Truncate a torn final line (no trailing newline) off the journal
-    file; returns the number of bytes cut.  A [SIGKILL] can land
-    mid-write; everything up to the previous newline is a complete,
-    trustworthy prefix. *)
+type journal = {
+  out : out_channel;  (** live decision lines append here *)
+  replay : (unit -> (Decision.t, string) result option) option;
+      (** the surviving journal, one parsed entry per pull, for
+          {!Session.create}'s [journal]; [None] when not resuming or
+          nothing was written yet *)
+  checkpoint : Session.checkpoint option;
+  resumed_from : string option;  (** description of the snapshot used *)
+  snapshot : string option;  (** where {!cut_snapshot} writes *)
+  mutable snapshots : int;  (** snapshots cut this run *)
+}
 
-val journal_reader : string -> unit -> (Decision.t, string) result option
-(** Stream the (already truncated) journal back one parsed entry per
-    pull — [None] at end of file — so resume memory stays O(open jobs),
-    never O(journal). *)
+type source =
+  | Channel of in_channel  (** stdin or the input file *)
+  | Socket of { listener : Unix.file_descr; stop : bool ref }
+      (** a bound, listening Unix-domain socket; [stop] turns true on
+          SIGINT/SIGTERM *)
 
-val make_spans :
+type host = {
+  registry : Dbp_obs.Metrics.t option;
+      (** present with [metrics_out] (or when asked for) *)
+  health : Dbp_obs.Health.t option;
+  spans : Dbp_obs.Span.t;
+  poll : unit -> unit;
+      (** dump the metrics if SIGUSR1 arrived since the last poll; call
+          it between lines *)
+  refresh : unit -> unit;
+      (** bring every gauge up to date (the loop's own, health, spans)
+          before the registry is rendered *)
+  open_journal :
+    ?shard:int -> ?snapshot:string -> string -> (journal, string) result;
+      (** [open_journal ?shard ?snapshot path] opens [path] as a journal
+          of this run (see the preamble); errors name the file, and the
+          shard when given *)
+  defer : (unit -> unit) -> unit;
+      (** register a teardown action.  Actions run newest first once
+          the run ends, however it ends, so one registered after a
+          journal was opened (joining the domains that write it, say)
+          runs before that journal closes. *)
+}
+
+type loop = {
+  drive : source -> (stats, string) result;
+      (** run the input to its end, then finish the sessions *)
+  gauges : unit -> unit;  (** the loop's own gauges, set at dump time *)
+}
+
+val lifecycle :
   config ->
-  ?metrics:Dbp_obs.Metrics.t ->
+  Session.config ->
+  ?registry:bool ->
   shards:int ->
-  unit ->
-  Dbp_obs.Span.t * out_channel option
-(** Build the span recorder [span_sample]/[span_out]/[span_ring] ask
-    for ({!Dbp_obs.Span.disabled} when sampling is off), plus the
-    [--span-out] channel the caller must close at teardown. *)
+  (host -> (loop, string) result) ->
+  (stats, string) result
+(** [lifecycle cfg scfg ~shards setup] builds the metrics sink, calls
+    [setup] (which opens its journals and sessions through the host),
+    drives the configured input through the returned loop, dumps the
+    metrics after a clean finish, and tears everything down.
+    [registry] forces a metrics registry without [metrics_out]. *)
+
+val complete_lines : Buffer.t -> Bytes.t -> int -> string list
+(** Socket framing: [complete_lines pending buf n] appends the [n]
+    bytes just read into [buf] to [pending] and returns the complete
+    lines, keeping the unterminated tail in [pending] for the next
+    read. *)
+
+val cut_snapshot : journal -> Session.t -> unit
+(** Flush the journal, save the session's snapshot to its path, count
+    it; a no-op for a journal without a snapshot path. *)

@@ -129,6 +129,7 @@ type t = {
       (* injected, never Clock.monotonic from here: this module is an
          R12 decision path and must not reach a wall-clock source *)
   render_buf : Buffer.t;  (* reused for every emitted decision line *)
+  scratch : Arrival.scratch;  (* [feed]'s parse destination *)
   mutable journal : (unit -> (Decision.t, string) result option) option;
   mutable checkpoint : checkpoint option;
   mutable seq : int;
@@ -152,6 +153,7 @@ let create ?metrics ?metric_labels ?observer ?span_clock ?journal ?checkpoint
     meters = Option.map (meters_of ?labels:metric_labels) metrics;
     span_clock;
     render_buf = Buffer.create 96;
+    scratch = Arrival.scratch ();
     journal;
     checkpoint;
     seq = 0;
@@ -371,15 +373,16 @@ let feed_skip t ?(span = Sp.null) ~depth reason = skip_line t ~span ~depth reaso
 let feed_item t ?(span = Sp.null) ~depth item = item_line t ~span ~depth item
 
 let feed t ?(span = Sp.null) ~depth line =
-  (* Parsing is pure, so hoisting it above [pre] (which [item_line] and
-     [skip_line] run) is unobservable: same outcomes, same counters. *)
-  match Arrival.parse line with
+  (* Parsing touches only the session's own scratch, so hoisting it
+     above [pre] (which [item_line] and [skip_line] run) is
+     unobservable: same outcomes, same counters. *)
+  match Arrival.parse_into t.scratch line with
   | Error reason ->
       span_mark t span Sp.Parse;
       skip_line t ~span ~depth reason
-  | Ok item ->
+  | Ok () ->
       span_mark t span Sp.Parse;
-      item_line t ~span ~depth item
+      item_line t ~span ~depth (Arrival.item t.scratch)
 
 let finish t =
   match check_now t with

@@ -108,7 +108,9 @@ val create :
 
 val feed : t -> ?span:Dbp_obs.Span.ticket -> depth:int -> string -> outcome
 (** Process one input line under the given queue depth (drives the
-    ladder; pass 0 when there is no queue).  With an armed [span]
+    ladder; pass 0 when there is no queue).  The line is parsed with
+    {!Arrival.parse_into} into a scratch the session owns.  With an
+    armed [span]
     ticket (and a [span_clock] at {!create}), stamps the [Parse],
     [Admission] and [Engine] phases; the default {!Dbp_obs.Span.null}
     costs one match per stamp site.  Spans never change outcomes,
@@ -118,8 +120,8 @@ val feed_item :
   t -> ?span:Dbp_obs.Span.ticket -> depth:int -> Dbp_core.Item.t -> outcome
 (** {!feed} for a line already parsed elsewhere — the sharded daemon
     parses once on the router thread ([Arrival.parse_into]) and posts
-    the item, not the line.  [feed line] is exactly
-    [feed_item (parse line)] when the line is well-formed.  Stamps
+    the item, not the line.  [feed line] is exactly [feed_item] of
+    the item [Arrival.parse_into] reads from a well-formed line.  Stamps
     [Admission] and [Engine] ([Parse] belongs to whoever parsed). *)
 
 val feed_skip : t -> ?span:Dbp_obs.Span.ticket -> depth:int -> string -> outcome

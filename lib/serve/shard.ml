@@ -1,8 +1,8 @@
 (* The sharded serve orchestrator (see the interface for the
-   architecture).  R9-exempt like Daemon: sockets, file descriptors and
-   signals are allowed here; everything decision-shaped stays in
-   Session, everything routing-shaped in Router, and the only
-   concurrency primitive is the resident mailbox from Dbp_par.Pool. *)
+   architecture), run inside Daemon.lifecycle.  R9-exempt like the rest
+   of lib/serve/; everything decision-shaped stays in Session,
+   everything routing-shaped in Router, and the only concurrency
+   primitive is the resident mailbox from Dbp_par.Pool. *)
 
 open Dbp_core
 module M = Dbp_obs.Metrics
@@ -51,14 +51,12 @@ type worker = {
   w_idx : int;
   w_session : Session.t;
   w_clock : Dbp_obs.Clock.t;  (* span stamps on the resident domain *)
-  w_seg : out_channel;
-  w_snap_path : string option;
+  w_journal : Daemon.journal;
   w_last_pull : (Decision.t, string) result option ref;
       (* journal entry most recently consumed by replay *)
   w_prefix : string;  (* "{\"shard\":K," *)
   w_buf : Buffer.t;
   mutable w_replayed : int;
-  mutable w_snapshots : int;
   mutable w_failed : bool;
 }
 
@@ -70,21 +68,14 @@ let merged_line w line =
   Buffer.add_substring w.w_buf line 1 (String.length line - 1);
   Buffer.contents w.w_buf
 
-let maybe_snapshot w =
-  if Session.snapshot_due w.w_session then
-    match w.w_snap_path with
-    | None -> ()
-    | Some path ->
-        (* Flush first: the snapshot cursor must never exceed the
-           durable segment prefix. *)
-        flush w.w_seg;
-        Snapshot.save ~path (Session.take_snapshot w.w_session);
-        w.w_snapshots <- w.w_snapshots + 1
-
-let result ~gidx ~client ?merged ?(live = false) ?echo ?fatal
-    ?(span = Sp.null) () =
-  { r_gidx = gidx; r_client = client; r_merged = merged; r_live = live;
-    r_echo = echo; r_fatal = fatal; r_span = span }
+(* Hand the sequencer this message's one result; a fatal one also
+   fails the worker. *)
+let push collector w ~gidx ~client ~span ?merged ?(live = false) ?echo ?fatal
+    () =
+  if Option.is_some fatal then w.w_failed <- true;
+  Pool.Collector.push collector
+    { r_gidx = gidx; r_client = client; r_merged = merged; r_live = live;
+      r_echo = echo; r_fatal = fatal; r_span = span }
 
 (* The resident handler: feed the shard's session, append to its
    segment, hand the sequencer one result per message.  After a fatal
@@ -92,42 +83,34 @@ let result ~gidx ~client ?merged ?(live = false) ?echo ?fatal
    never blocks on a full mailbox while the main loop is aborting. *)
 let handle collector w msg =
   match msg with
-  | _ when w.w_failed ->
-      let gidx, client, span =
-        match msg with
-        | M_item { gidx; client; span; _ } | M_skip { gidx; client; span; _ }
-          ->
-            (gidx, client, span)
-      in
-      Pool.Collector.push collector (result ~gidx ~client ~span ())
+  | (M_item { gidx; client; span; _ } | M_skip { gidx; client; span; _ })
+    when w.w_failed ->
+      push collector w ~gidx ~client ~span ()
   | M_skip { gidx; client; depth; reason; span } -> (
       Sp.mark w.w_clock span Sp.Mailbox;
       Sp.set_shard span w.w_idx;
       match Session.feed_skip w.w_session ~span ~depth reason with
-      | Session.Skipped _ ->
-          Pool.Collector.push collector (result ~gidx ~client ~span ())
+      | Session.Skipped _ -> push collector w ~gidx ~client ~span ()
       | Session.Fatal f ->
-          w.w_failed <- true;
-          Pool.Collector.push collector
-            (result ~gidx ~client ~fatal:(Session.fatal_to_string f) ~span ())
+          push collector w ~gidx ~client ~span
+            ~fatal:(Session.fatal_to_string f) ()
       | Session.Emit _ | Session.Replayed ->
           (* feed_skip never emits or replays; treat drift as fatal. *)
-          w.w_failed <- true;
-          Pool.Collector.push collector
-            (result ~gidx ~client
-               ~fatal:"shard: feed_skip returned a decision outcome" ~span ()))
+          push collector w ~gidx ~client ~span
+            ~fatal:"shard: feed_skip returned a decision outcome" ())
   | M_item { gidx; client; depth; item; span } -> (
       Sp.mark w.w_clock span Sp.Mailbox;
       Sp.set_shard span w.w_idx;
       match Session.feed_item w.w_session ~span ~depth item with
       | Session.Emit line ->
-          output_string w.w_seg line;
-          output_char w.w_seg '\n';
+          let seg = w.w_journal.Daemon.out in
+          output_string seg line;
+          output_char seg '\n';
           Sp.mark w.w_clock span Sp.Journal;
-          maybe_snapshot w;
-          Pool.Collector.push collector
-            (result ~gidx ~client ~merged:(merged_line w line) ~live:true
-               ~echo:line ~span ())
+          if Session.snapshot_due w.w_session then
+            Daemon.cut_snapshot w.w_journal w.w_session;
+          push collector w ~gidx ~client ~span ~merged:(merged_line w line)
+            ~live:true ~echo:line ()
       | Session.Replayed ->
           w.w_replayed <- w.w_replayed + 1;
           (* Reconstruct the merged line from the journal entry replay
@@ -138,18 +121,14 @@ let handle collector w msg =
             | Some (Ok entry) -> Some (merged_line w (Decision.render entry))
             | Some (Error _) | None -> None
           in
-          Pool.Collector.push collector
-            (result ~gidx ~client ?merged ~span ())
+          push collector w ~gidx ~client ~span ?merged ()
       | Session.Fatal f ->
-          w.w_failed <- true;
-          Pool.Collector.push collector
-            (result ~gidx ~client ~fatal:(Session.fatal_to_string f) ~span ())
+          push collector w ~gidx ~client ~span
+            ~fatal:(Session.fatal_to_string f) ()
       | Session.Skipped _ ->
           (* feed_item takes a parsed item; it cannot skip. *)
-          w.w_failed <- true;
-          Pool.Collector.push collector
-            (result ~gidx ~client
-               ~fatal:"shard: feed_item skipped a parsed item" ~span ()))
+          push collector w ~gidx ~client ~span
+            ~fatal:"shard: feed_item skipped a parsed item" ())
 
 (* ---- paths ------------------------------------------------------------ *)
 
@@ -179,124 +158,63 @@ let run cfg scfg =
   in
   if Option.is_some b.Daemon.trace_out then
     b.Daemon.log "serve: --trace-out is ignored in sharded mode";
-  let registry =
-    if Option.is_some b.Daemon.metrics_out || Option.is_some cfg.metrics_port
-    then Some (M.create ())
-    else None
-  in
-  let health = Option.map Dbp_obs.Health.create registry in
-  Option.iter
-    (Dbp_obs.Health.set_build_info ~family:"dbp_serve_build_info"
-       ~version:Daemon.version)
-    registry;
-  let spans, span_oc = Daemon.make_spans b ?metrics:registry ~shards:cfg.shards () in
+  Daemon.lifecycle b scfg
+    ~registry:(Option.is_some cfg.metrics_port)
+    ~shards:cfg.shards
+  @@ fun host ->
+  let registry = host.Daemon.registry and spans = host.Daemon.spans in
   let span_clock = if Sp.enabled spans then Some (Sp.clock spans) else None in
-  (* Per-shard resume state + sessions + segments, all built on the main
-     thread before any domain exists. *)
+  (* Per-shard journals and sessions, all built on the main thread
+     before any domain exists. *)
   let build_shard i =
-    let seg = segment_path b.Daemon.output i in
-    let snap = shard_snapshot_path b.Daemon.snapshot_path i in
-    let* checkpoint, resumed_from =
-      if not b.Daemon.resume then Ok (None, None)
-      else
-        match snap with
-        | None -> Ok (None, None)
-        | Some path -> (
-            match Snapshot.load ~path with
-            | Ok (s, gen) ->
-                if not (String.equal s.Snapshot.algo scfg.Session.algo_name)
-                then
-                  Error
-                    (Printf.sprintf
-                       "serve: shard %d snapshot was cut by algorithm %s, \
-                        not %s"
-                       i s.Snapshot.algo scfg.Session.algo_name)
-                else
-                  let where =
-                    match gen with
-                    | Snapshot.Current -> path
-                    | Snapshot.Previous -> path ^ ".prev"
-                  in
-                  Ok
-                    ( Some (Session.checkpoint_of_snapshot s),
-                      Some
-                        (Printf.sprintf "%s (cursor %d)" where
-                           s.Snapshot.cursor) )
-            | Error (Snapshot.Missing _) -> Ok (None, None)
-            | Error e -> Error (Snapshot.error_to_string e))
+    let* j =
+      host.Daemon.open_journal ~shard:i
+        ?snapshot:(shard_snapshot_path b.Daemon.snapshot_path i)
+        (segment_path b.Daemon.output i)
     in
     let last_pull = ref None in
     let journal =
-      if b.Daemon.resume && Sys.file_exists seg then begin
-        let torn = Daemon.truncate_torn_tail seg in
-        if torn > 0 then
-          b.Daemon.log
-            (Printf.sprintf "serve: truncated %d torn bytes off %s" torn seg);
-        let pull = Daemon.journal_reader seg in
-        Some
-          (fun () ->
-            let e = pull () in
-            last_pull := e;
-            e)
-      end
-      else None
-    in
-    let* () =
-      match (checkpoint, journal) with
-      | Some { Session.cursor; _ }, None when cursor > 0 ->
-          Error
-            (Printf.sprintf
-               "serve: shard %d snapshot cursor is %d but the segment %s is \
-                missing"
-               i cursor seg)
-      | _ -> Ok ()
+      Option.map
+        (fun pull () ->
+          let e = pull () in
+          last_pull := e;
+          e)
+        j.Daemon.replay
     in
     let session =
       Session.create ?metrics:registry
         ~metric_labels:[ ("shard", string_of_int i) ]
-        ?span_clock ?journal ?checkpoint scfg
-    in
-    let seg_oc =
-      if b.Daemon.resume then
-        open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ]
-          0o644 seg
-      else open_out_bin seg
+        ?span_clock ?journal ?checkpoint:j.Daemon.checkpoint scfg
     in
     Ok
-      ( {
-          w_idx = i;
-          w_session = session;
-          w_clock = Sp.clock spans;
-          w_seg = seg_oc;
-          w_snap_path = snap;
-          w_last_pull = last_pull;
-          w_prefix = Printf.sprintf "{\"shard\":%d," i;
-          w_buf = Buffer.create 96;
-          w_replayed = 0;
-          w_snapshots = 0;
-          w_failed = false;
-        },
-        resumed_from )
+      {
+        w_idx = i;
+        w_session = session;
+        w_clock = Sp.clock spans;
+        w_journal = j;
+        w_last_pull = last_pull;
+        w_prefix = Printf.sprintf "{\"shard\":%d," i;
+        w_buf = Buffer.create 96;
+        w_replayed = 0;
+        w_failed = false;
+      }
   in
-  let* workers_and_resumed =
+  let* workers =
     let rec go i acc =
-      if i >= cfg.shards then Ok (List.rev acc)
+      if i >= cfg.shards then Ok (Array.of_list (List.rev acc))
       else
         let* w = build_shard i in
         go (i + 1) (w :: acc)
     in
     go 0 []
   in
-  let workers = Array.of_list (List.map fst workers_and_resumed) in
   let resumed_from =
     let parts =
-      List.concat
-        (List.mapi
-           (fun i (_, r) ->
-             match r with
-             | Some s -> [ Printf.sprintf "shard%d: %s" i s ]
-             | None -> [])
-           workers_and_resumed)
+      Array.to_list workers
+      |> List.filter_map (fun w ->
+             Option.map
+               (Printf.sprintf "shard%d: %s" w.w_idx)
+               w.w_journal.Daemon.resumed_from)
     in
     if parts = [] then None else Some (String.concat "; " parts)
   in
@@ -304,87 +222,73 @@ let run cfg scfg =
      scratch every run (a resume replays every segment, so the rebuilt
      file is byte-identical to the uninterrupted run's). *)
   let merged_oc = open_out_bin b.Daemon.output in
-  let collector = Pool.Collector.create () in
-  let residents =
-    Array.map (fun w -> Pool.Resident.spawn (handle collector w)) workers
-  in
-  (* Per-shard mailbox gauges (the "pool" of a sharded daemon), set at
-     scrape/dump time from the resident counters. *)
-  let pool_gauges =
-    Option.map
-      (fun m ->
-        Array.init cfg.shards (fun i ->
-            let labels = [ ("shard", string_of_int i) ] in
-            ( M.gauge m ~labels
-                ~help:"Messages mailed to the shard resident, not yet taken."
-                "dbp_pool_mailbox_depth",
-              M.gauge m ~labels
-                ~help:"Messages mailed to the shard resident, lifetime."
-                "dbp_pool_posted",
-              M.gauge m ~labels
-                ~help:"Messages the shard resident has processed, lifetime."
-                "dbp_pool_processed" )))
-      registry
-  in
-  let update_pool_gauges () =
-    Option.iter
-      (fun gs ->
-        Array.iteri
-          (fun i (g_depth, g_posted, g_processed) ->
-            M.set g_depth (float_of_int (Pool.Resident.depth residents.(i)));
-            M.set g_posted (float_of_int (Pool.Resident.posted residents.(i)));
-            M.set g_processed
-              (float_of_int (Pool.Resident.processed residents.(i))))
-          gs)
-      pool_gauges
-  in
-  let dump_metrics () =
-    match (b.Daemon.metrics_out, registry) with
-    | Some path, Some m ->
-        update_pool_gauges ();
-        Option.iter Dbp_obs.Health.tick health;
-        Sp.export spans;
-        let content =
-          if path <> "-" && Filename.check_suffix path ".json" then
-            M.to_json m
-          else M.to_prometheus m
-        in
-        if String.equal path "-" then begin
-          output_string stdout content;
-          flush stdout
-        end
-        else begin
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc content)
-        end
-    | _ -> ()
-  in
+  host.Daemon.defer (fun () -> close_out merged_oc);
   let http =
     Option.map (fun port -> Http_listener.create ~port ()) cfg.metrics_port
   in
   Option.iter
     (fun l ->
+      host.Daemon.defer (fun () -> Http_listener.close l);
       b.Daemon.log
         (Printf.sprintf "serve: metrics on http://127.0.0.1:%d/metrics"
            (Http_listener.port l)))
     http;
+  let collector = Pool.Collector.create () in
+  let residents =
+    Array.map (fun w -> Pool.Resident.spawn (handle collector w)) workers
+  in
+  (* Joined before any journal closes: the residents write the segments,
+     and are idle only once closed. *)
+  host.Daemon.defer (fun () ->
+      Array.iter
+        (fun r -> try Pool.Resident.close r with Pool.Resident_error _ -> ())
+        residents);
+  (* Echoes and HTTP responses are best-effort writes to peers that may
+     vanish mid-write; EPIPE must come back as an error code, not a
+     process-killing signal. *)
+  let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  host.Daemon.defer (fun () -> Sys.set_signal Sys.sigpipe prev_pipe);
+  (* Per-shard mailbox gauges (the "pool" of a sharded daemon), set at
+     scrape/dump time from the resident counters. *)
+  let pool_gauges =
+    match registry with
+    | None -> []
+    | Some m ->
+        List.concat_map
+          (fun i ->
+            let r = residents.(i) in
+            let g name help =
+              M.gauge m ~labels:[ ("shard", string_of_int i) ] ~help name
+            in
+            [
+              ( g "dbp_pool_mailbox_depth"
+                  "Messages mailed to the shard resident, not yet taken.",
+                fun () -> Pool.Resident.depth r );
+              ( g "dbp_pool_posted"
+                  "Messages mailed to the shard resident, lifetime.",
+                fun () -> Pool.Resident.posted r );
+              ( g "dbp_pool_processed"
+                  "Messages the shard resident has processed, lifetime.",
+                fun () -> Pool.Resident.processed r );
+            ])
+          (List.init cfg.shards Fun.id)
+  in
+  let update_pool_gauges () =
+    List.iter (fun (g, read) -> M.set g (float_of_int (read ()))) pool_gauges
+  in
   let respond (req : Http.request) =
     if not (String.equal req.Http.meth "GET") then
       Http.response ~status:405 "Method Not Allowed\n"
     else
       match req.Http.path with
       | "/healthz" ->
-          Option.iter Dbp_obs.Health.tick health;
+          Option.iter Dbp_obs.Health.tick host.Daemon.health;
           Http.response ~status:200
             (Printf.sprintf "ok shards=%d\n" cfg.shards)
       | "/metrics" -> (
           match registry with
           | Some m ->
-              update_pool_gauges ();
-              Option.iter Dbp_obs.Health.tick health;
-              Sp.export spans;
+              host.Daemon.refresh ();
               Http.metrics_response (M.to_prometheus m)
           | None -> Http.response ~status:404 "metrics registry disabled\n")
       | _ -> Http.response ~status:404 "Not Found\n"
@@ -399,7 +303,6 @@ let run cfg scfg =
      crash_after yardstick ([emitted] counts only live decisions) *)
   let merged_written = ref 0 in
   let fatal : string option ref = ref None in
-  let usr1 = ref false in
   let echo_sink : (int -> string -> unit) ref = ref (fun _ _ -> ()) in
   let crash_now () =
     (* Crash injection at a merged-line boundary: drain the residents so
@@ -407,7 +310,7 @@ let run cfg scfg =
        genuine SIGKILL — the journals are left exactly as the kernel saw
        them. *)
     Array.iter Pool.Resident.sync residents;
-    Array.iter (fun w -> flush w.w_seg) workers;
+    Array.iter (fun w -> flush w.w_journal.Daemon.out) workers;
     flush merged_oc;
     Unix.kill (Unix.getpid ()) Sys.sigkill
   in
@@ -444,17 +347,9 @@ let run cfg scfg =
     in
     go ()
   in
-  (* Checked on every line (not just the housekeeping cadence) so a
-     SIGUSR1 dump lands promptly even on short file inputs. *)
-  let check_usr1 () =
-    if !usr1 then begin
-      usr1 := false;
-      dump_metrics ()
-    end
-  in
   let housekeeping () =
-    check_usr1 ();
-    Option.iter Dbp_obs.Health.tick health;
+    host.Daemon.poll ();
+    Option.iter Dbp_obs.Health.tick host.Daemon.health;
     Option.iter (fun l -> Http_listener.service l ~respond) http;
     drain ()
   in
@@ -512,26 +407,24 @@ let run cfg scfg =
             post_line ~client:(-1) ~file_depth:(Some 0) line;
             throttle ();
             incr tick;
-            check_usr1 ();
+            (* Polled on every line (not just the housekeeping cadence)
+               so a SIGUSR1 dump lands promptly even on short inputs. *)
+            host.Daemon.poll ();
             if !tick land 255 = 0 then housekeeping () else drain ();
             loop ()
         | exception End_of_file -> ()
     in
     loop ()
   in
-  let drive_socket path ~stop =
-    (match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* Multi-client select loop over the daemon's listener.  Echoes go
+     back to the owning client best-effort and non-blocking: a client
+     that stops reading loses echoes rather than wedging the daemon (its
+     lines are still in the journal). *)
+  let drive_socket sock ~stop =
     let clients : (int, Unix.file_descr * Buffer.t) Hashtbl.t =
       Hashtbl.create 8
     in
     let next_client = ref 0 in
-    (* Echo decision lines back to the owning client, best-effort and
-       non-blocking: a client that stops reading loses echoes rather
-       than wedging the daemon (its lines are still in the journal). *)
     (echo_sink :=
        fun id line ->
          match Hashtbl.find_opt clients id with
@@ -551,14 +444,9 @@ let run cfg scfg =
         echo_sink := (fun _ _ -> ());
         Hashtbl.iter
           (fun _ (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
-          clients;
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+          clients)
       (fun () ->
-        Unix.bind sock (Unix.ADDR_UNIX path);
-        Unix.listen sock 8;
         Unix.set_nonblock sock;
-        b.Daemon.log (Printf.sprintf "serve: listening on %s" path);
         let buf = Bytes.create 65536 in
         let read_client id fd cbuf =
           match Unix.read fd buf 0 (Bytes.length buf) with
@@ -566,27 +454,17 @@ let run cfg scfg =
               Unix.Unix_error
                 ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
               ()
-          | exception Unix.Unix_error _ ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              Hashtbl.remove clients id
-          | 0 ->
+          | 0 | exception Unix.Unix_error _ ->
               (try Unix.close fd with Unix.Unix_error _ -> ());
               Hashtbl.remove clients id
           | n ->
-              Buffer.add_subbytes cbuf buf 0 n;
-              let data = Buffer.contents cbuf in
-              Buffer.clear cbuf;
-              let rec feed = function
-                | [ tail ] -> Buffer.add_string cbuf tail
-                | line :: rest ->
-                    if Option.is_none !fatal && budget_left () then begin
-                      post_line ~client:id ~file_depth:None line;
-                      throttle ()
-                    end;
-                    feed rest
-                | [] -> ()
-              in
-              feed (String.split_on_char '\n' data)
+              List.iter
+                (fun line ->
+                  if Option.is_none !fatal && budget_left () then begin
+                    post_line ~client:id ~file_depth:None line;
+                    throttle ()
+                  end)
+                (Daemon.complete_lines cbuf buf n)
         in
         while Option.is_none !fatal && budget_left () && not !stop do
           housekeeping ();
@@ -626,120 +504,53 @@ let run cfg scfg =
                 ready_clients
         done)
   in
-  (* ---- wiring, teardown, stats -------------------------------------- *)
-  let prev_usr1 =
-    Sys.signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> usr1 := true))
-  in
-  (* Echoes and HTTP responses are best-effort writes to peers that may
-     vanish mid-write; EPIPE must come back as an error code, not a
-     process-killing signal. *)
-  let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let stop = ref false in
-  let finish_up () =
+  (* ---- finish and stats --------------------------------------------- *)
+  let finish () =
     (* Everything posted; wait for the shards, settle the sequencer,
        then close the sessions in shard order. *)
     Array.iter Pool.Resident.sync residents;
     drain ();
     match !fatal with
     | Some msg -> Error msg
-    | None ->
-        let errs = ref [] in
-        Array.iter
-          (fun w ->
-            match Session.finish w.w_session with
-            | Error f ->
-                errs :=
-                  Printf.sprintf "shard %d: %s" w.w_idx
-                    (Session.fatal_to_string f)
-                  :: !errs
-            | Ok () ->
-                if
-                  Option.is_some w.w_snap_path
-                  && scfg.Session.snapshot_every > 0
-                then begin
-                  flush w.w_seg;
-                  match w.w_snap_path with
-                  | Some path ->
-                      Snapshot.save ~path (Session.take_snapshot w.w_session);
-                      w.w_snapshots <- w.w_snapshots + 1
-                  | None -> ()
-                end)
-          workers;
-        (match !errs with
+    | None -> (
+        let errs =
+          Array.to_list workers
+          |> List.filter_map (fun w ->
+                 match Session.finish w.w_session with
+                 | Error f ->
+                     Some
+                       (Printf.sprintf "shard %d: %s" w.w_idx
+                          (Session.fatal_to_string f))
+                 | Ok () ->
+                     if scfg.Session.snapshot_every > 0 then
+                       Daemon.cut_snapshot w.w_journal w.w_session;
+                     None)
+        in
+        let sum f = Array.fold_left (fun a w -> a + f w) 0 workers in
+        match errs with
         | [] ->
-            dump_metrics ();
             Ok
               {
                 Daemon.lines = !lines;
                 emitted = !emitted;
-                placed =
-                  Array.fold_left
-                    (fun a w -> a + Session.placed w.w_session)
-                    0 workers;
-                rejected =
-                  Array.fold_left
-                    (fun a w -> a + Session.rejected w.w_session)
-                    0 workers;
-                skipped =
-                  Array.fold_left
-                    (fun a w -> a + Session.skipped w.w_session)
-                    0 workers;
-                replayed =
-                  Array.fold_left (fun a w -> a + w.w_replayed) 0 workers;
-                snapshots =
-                  Array.fold_left (fun a w -> a + w.w_snapshots) 0 workers;
+                placed = sum (fun w -> Session.placed w.w_session);
+                rejected = sum (fun w -> Session.rejected w.w_session);
+                skipped = sum (fun w -> Session.skipped w.w_session);
+                replayed = sum (fun w -> w.w_replayed);
+                snapshots = sum (fun w -> w.w_journal.Daemon.snapshots);
                 resumed_from;
               }
-        | es -> Error (String.concat "; " (List.rev es)))
+        | es -> Error (String.concat "; " es))
   in
-  let result =
+  let drive source =
     match
-      (match b.Daemon.input with
-      | Daemon.Stdin -> drive_channel stdin
-      | Daemon.In_file path ->
-          let ic = open_in path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> drive_channel ic)
-      | Daemon.In_socket path ->
-          let prev_int =
-            Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true))
-          and prev_term =
-            Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := true))
-          in
-          Fun.protect
-            ~finally:(fun () ->
-              Sys.set_signal Sys.sigint prev_int;
-              Sys.set_signal Sys.sigterm prev_term)
-            (fun () -> drive_socket path ~stop));
-      finish_up ()
+      (match source with
+      | Daemon.Channel ic -> drive_channel ic
+      | Daemon.Socket { listener; stop } -> drive_socket listener ~stop);
+      finish ()
     with
     | r -> r
     | exception Pool.Resident_error e ->
         Error ("serve: shard worker died: " ^ Printexc.to_string e)
   in
-  Sys.set_signal Sys.sigusr1 prev_usr1;
-  Sys.set_signal Sys.sigpipe prev_pipe;
-  (* Teardown is unconditional: join the domains, then flush/close every
-     channel (the residents are idle after close, so the channels are
-     safe to touch from here). *)
-  Array.iter
-    (fun r -> try Pool.Resident.close r with Pool.Resident_error _ -> ())
-    residents;
-  Array.iter
-    (fun w -> try flush w.w_seg; close_out w.w_seg with Sys_error _ -> ())
-    workers;
-  (try
-     flush merged_oc;
-     close_out merged_oc
-   with Sys_error _ -> ());
-  Option.iter close_out span_oc;
-  Option.iter Http_listener.close http;
-  result
-
-let run cfg scfg =
-  match run cfg scfg with
-  | r -> r
-  | exception Sys_error msg -> Error ("serve: " ^ msg)
-  | exception Unix.Unix_error (e, fn, arg) ->
-      Error (Printf.sprintf "serve: %s(%s): %s" fn arg (Unix.error_message e))
+  Ok { Daemon.drive; gauges = update_pool_gauges }

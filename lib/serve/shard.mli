@@ -1,6 +1,15 @@
 (** The sharded [dbp serve] daemon: shard-by-tenant scale-out over
     resident domains (DESIGN.md section 16).
 
+    It runs inside {!Daemon.lifecycle}, like the unsharded daemon: the
+    lifecycle opens every journal segment (snapshot checkpoint, torn
+    tail, replay reader, append/create output), cuts the snapshots,
+    owns the metrics sink, the listener socket and the signals, and
+    tears everything down.  This module adds only what sharding needs:
+    the router thread, the shard residents, the sequencer that merges
+    their results, its own multi-client socket loop and the HTTP
+    metrics listener.
+
     {2 Architecture}
 
     One router thread (the caller) reads input lines, parses each once
@@ -20,8 +29,9 @@
     order into the {e merged} stream ([output]): each decision line with
     a [{"shard":K,] label spliced in.  The segments are the
     authoritative journals; the merged file is derived and rebuilt every
-    run — on [--resume] the segments replay through each shard's session
-    (digest-verified against its snapshot, torn tails truncated), and
+    run — on [--resume] each segment is opened through
+    [Daemon.host.open_journal] (digest-verified against its snapshot,
+    torn tail truncated) and replays through its shard's session, and
     replayed entries re-emit their merged lines, so the rebuilt merged
     file is byte-identical to an uninterrupted run's.
 

@@ -261,8 +261,7 @@ let expected_total =
         "Dbp_serve.Json_lite.num_field";
         "Dbp_serve.Json_lite.int_field";
       ] );
-    ( "lib/serve/arrival.ml",
-      [ "Dbp_serve.Arrival.parse"; "Dbp_serve.Arrival.parse_into" ] );
+    ("lib/serve/arrival.ml", [ "Dbp_serve.Arrival.parse_into" ]);
     ("lib/serve/decision.ml", [ "Dbp_serve.Decision.parse" ]);
     ("lib/serve/router.ml", [ "Dbp_serve.Router.parse_overrides" ]);
     ( "lib/serve/http.ml",

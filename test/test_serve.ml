@@ -11,6 +11,11 @@ module Item = Dbp_core.Item
 
 (* ---- json_lite / arrival / decision codecs ---------------------------- *)
 
+(* The library's one arrival parser, with a fresh scratch per line. *)
+let parse_arrival line =
+  let sc = Arrival.scratch () in
+  Result.map (fun () -> Arrival.item sc) (Arrival.parse_into sc line)
+
 let gen_any_bytes =
   QCheck2.Gen.(string_size ~gen:char (int_range 0 120))
 
@@ -20,8 +25,8 @@ let prop_json_lite_total =
       match Json_lite.parse_object s with Ok _ | Error _ -> true)
 
 let prop_arrival_total =
-  qtest ~count:500 "Arrival.parse never raises" gen_any_bytes (fun s ->
-      match Arrival.parse s with Ok _ | Error _ -> true)
+  qtest ~count:500 "Arrival.parse_into never raises" gen_any_bytes (fun s ->
+      match parse_arrival s with Ok _ | Error _ -> true)
 
 let prop_decision_total =
   qtest ~count:500 "Decision.parse never raises" gen_any_bytes (fun s ->
@@ -56,7 +61,7 @@ let test_arrival_hostile_bytes () =
   in
   List.iter
     (fun line ->
-      match Arrival.parse line with
+      match parse_arrival line with
       | Ok _ -> Alcotest.failf "hostile line parsed: %s" (String.sub line 0 (min 60 (String.length line)))
       | Error reason ->
           check_bool "reason is non-empty" true (String.length reason > 0))
@@ -64,7 +69,7 @@ let test_arrival_hostile_bytes () =
 
 let test_arrival_ignores_unknown_fields () =
   match
-    Arrival.parse
+    parse_arrival
       "{\"id\":7,\"size\":0.25,\"arrival\":3,\"departure\":7.5,\"tag\":\"x\"}"
   with
   | Ok item ->
@@ -75,10 +80,10 @@ let test_arrival_ignores_unknown_fields () =
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let prop_arrival_roundtrip =
-  qtest ~count:300 "Arrival.render/parse roundtrip is bit-exact"
+  qtest ~count:300 "Arrival.render/parse_into roundtrip is bit-exact"
     (gen_item_with_id 12345)
     (fun item ->
-      match Arrival.parse (Arrival.render item) with
+      match parse_arrival (Arrival.render item) with
       | Error e -> QCheck2.Test.fail_reportf "rendered line rejected: %s" e
       | Ok back ->
           Item.id back = Item.id item

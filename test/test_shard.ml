@@ -1,8 +1,10 @@
 (* The sharded dbp serve stack (PR 9): router purity and algebra, the
-   zero-alloc arrival parse against the generic parser (differential),
+   zero-alloc arrival parse against the generic oracle (differential),
    buffered decision rendering, merge determinism of Shard.run,
-   exhaustive clean-cut crash-resume byte-fidelity, torn-tail recovery,
-   and the HTTP listener's hostile-client posture. *)
+   exhaustive clean-cut crash-resume byte-fidelity and torn-tail
+   recovery for both daemons, the resume-setup errors and journal
+   teardown of the shared serve lifecycle, and the HTTP listener's
+   hostile-client posture. *)
 
 open Helpers
 open Dbp_serve
@@ -113,7 +115,7 @@ let same_item a b =
 let shared_scratch = Arrival.scratch ()
 
 let agree line =
-  match (Arrival.parse line, Arrival.parse_into shared_scratch line) with
+  match (Arrival_oracle.parse line, Arrival.parse_into shared_scratch line) with
   | Ok item, Ok () -> same_item item (Arrival.item shared_scratch)
   | Error _, Error _ -> true
   | Ok _, Error _ | Error _, Ok _ -> false
@@ -539,6 +541,261 @@ let test_config_rejections () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "stdout output accepted in sharded mode")
 
+(* ---- Daemon.run and Shard.run: the shared serve lifecycle --------------- *)
+
+(* The unsharded daemon driven in-process, the way Shard.run is above:
+   same workload, same helpers, one output file instead of segments. *)
+let daemon_cfg ?(resume = false) ?max_arrivals ?(snapshot = true) ~dir ~prefix
+    ~input () =
+  let p name = Filename.concat dir (prefix ^ name) in
+  {
+    Daemon.default_config with
+    Daemon.input = Daemon.In_file input;
+    output = p ".out";
+    snapshot_path = (if snapshot then Some (p ".snap") else None);
+    resume;
+    max_arrivals;
+  }
+
+let daemon_ok cfg sc =
+  match Daemon.run cfg sc with
+  | Ok stats -> stats
+  | Error e -> Alcotest.failf "Daemon.run failed: %s" e
+
+let write_input dir n =
+  let input = Filename.concat dir "input.jsonl" in
+  write_file input (String.concat "\n" (input_lines n) ^ "\n");
+  input
+
+(* Clean cuts: a run stopped by its arrival budget (final snapshot
+   included), then resumed over the whole input.  Cut 0 is a daemon
+   that never ran: --resume must start fresh, not die on the missing
+   journal.  The unsharded budget check runs after each line, so
+   [max_arrivals] below 1 still decides one line. *)
+let test_daemon_resume_at_every_cut_point () =
+  in_tmp (fun dir ->
+      let n = 10 in
+      let input = write_input dir n in
+      List.iter
+        (fun snapshot ->
+          let sc () = scfg ~snapshot_every:2 "first-fit" in
+          let tag = if snapshot then "snap" else "nosnap" in
+          ignore
+            (daemon_ok
+               (daemon_cfg ~dir ~prefix:(tag ^ "full") ~snapshot ~input ())
+               (sc ()));
+          let want = read_file (Filename.concat dir (tag ^ "full.out")) in
+          check_int (tag ^ ": full run decided every line") n
+            (List.length (lines_of want));
+          for cut = 0 to n do
+            let prefix = Printf.sprintf "%scut%d" tag cut in
+            if cut > 0 then
+              ignore
+                (daemon_ok
+                   (daemon_cfg ~dir ~prefix ~snapshot ~input ~max_arrivals:cut
+                      ())
+                   (sc ()));
+            let stats =
+              daemon_ok
+                (daemon_cfg ~dir ~prefix ~snapshot ~input ~resume:true ())
+                (sc ())
+            in
+            let what = Printf.sprintf "%s cut %d" tag cut in
+            check_int (what ^ ": journal replayed") cut stats.Daemon.replayed;
+            check_int (what ^ ": live emits cover the rest") (n - cut)
+              stats.Daemon.emitted;
+            check_bool
+              (what ^ ": resumed from the snapshot iff one was cut")
+              (snapshot && cut > 0)
+              (Option.is_some stats.Daemon.resumed_from);
+            check_string (what ^ ": output byte-identical") want
+              (read_file (Filename.concat dir (prefix ^ ".out")))
+          done)
+        [ true; false ])
+
+let test_daemon_resume_truncates_torn_tail () =
+  in_tmp (fun dir ->
+      let n = 8 in
+      let input = write_input dir n in
+      ignore
+        (daemon_ok
+           (daemon_cfg ~dir ~prefix:"full" ~snapshot:false ~input ())
+           (scfg "first-fit"));
+      let want = read_file (Filename.concat dir "full.out") in
+      ignore
+        (daemon_ok
+           (daemon_cfg ~dir ~prefix:"cut" ~snapshot:false ~max_arrivals:5
+              ~input ())
+           (scfg "first-fit"));
+      (* wound the journal twice: a real line chopped, then garbage
+         with no newline (a decision line torn mid-write) *)
+      let out = Filename.concat dir "cut.out" in
+      let bytes = read_file out in
+      write_file out
+        (String.sub bytes 0 (String.length bytes - 3) ^ "{\"seq\":99");
+      let stats =
+        daemon_ok
+          (daemon_cfg ~dir ~prefix:"cut" ~snapshot:false ~resume:true ~input ())
+          (scfg "first-fit")
+      in
+      check_int "the intact prefix replayed" 4 stats.Daemon.replayed;
+      check_int "the torn entry was re-decided live" (n - 4)
+        stats.Daemon.emitted;
+      check_string "output byte-identical after torn-tail truncation" want
+        (read_file out))
+
+(* A supervisor that always passes --resume must be able to start a
+   daemon that never wrote its journal, sharded or not. *)
+let test_resume_without_journal_starts_fresh () =
+  in_tmp (fun dir ->
+      let n = 6 in
+      let input = write_input dir n in
+      ignore
+        (daemon_ok (daemon_cfg ~dir ~prefix:"ref" ~input ()) (scfg "first-fit"));
+      let stats =
+        daemon_ok
+          (daemon_cfg ~dir ~prefix:"fresh" ~resume:true ~input ())
+          (scfg "first-fit")
+      in
+      check_int "unsharded: nothing replayed" 0 stats.Daemon.replayed;
+      check_string "unsharded: same bytes as a plain run"
+        (read_file (Filename.concat dir "ref.out"))
+        (read_file (Filename.concat dir "fresh.out"));
+      ignore
+        (run_ok (shard_cfg ~dir ~prefix:"sref" ~input ()) (scfg "first-fit"));
+      let stats =
+        run_ok
+          (shard_cfg ~dir ~prefix:"sfresh" ~resume:true ~input ())
+          (scfg "first-fit")
+      in
+      check_int "sharded: nothing replayed" 0 stats.Daemon.replayed;
+      check_string "sharded: same merged bytes as a plain run"
+        (read_file (Filename.concat dir "sref.out"))
+        (read_file (Filename.concat dir "sfresh.out")))
+
+let expect_error what want = function
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+  | Error got -> check_string what want got
+
+(* The three ways resume setup refuses to start, on both daemons; each
+   message names the file (and the shard, when sharded). *)
+let test_resume_setup_errors () =
+  in_tmp (fun dir ->
+      let n = 8 in
+      let input = write_input dir n in
+      let p name = Filename.concat dir name in
+      (* a snapshot cut by another algorithm *)
+      ignore
+        (daemon_ok
+           (daemon_cfg ~dir ~prefix:"u" ~input ())
+           (scfg ~snapshot_every:2 "first-fit"));
+      expect_error "unsharded: algorithm mismatch"
+        (Printf.sprintf
+           "serve: snapshot %s was cut by algorithm first-fit, not best-fit"
+           (p "u.snap"))
+        (Daemon.run
+           (daemon_cfg ~dir ~prefix:"u" ~resume:true ~input ())
+           (scfg ~snapshot_every:2 "best-fit"));
+      ignore
+        (run_ok (shard_cfg ~dir ~prefix:"s" ~input ())
+           (scfg ~snapshot_every:2 "first-fit"));
+      expect_error "sharded: algorithm mismatch"
+        (Printf.sprintf
+           "serve: shard 0 snapshot %s was cut by algorithm first-fit, not \
+            best-fit"
+           (p "s.snap.shard0"))
+        (Shard.run
+           (shard_cfg ~dir ~prefix:"s" ~resume:true ~input ())
+           (scfg ~snapshot_every:2 "best-fit"));
+      (* a snapshot cursor past a journal that is gone *)
+      Sys.remove (p "u.out");
+      expect_error "unsharded: journal missing"
+        (Printf.sprintf
+           "serve: snapshot cursor is %d but the journal %s is missing" n
+           (p "u.out"))
+        (Daemon.run
+           (daemon_cfg ~dir ~prefix:"u" ~resume:true ~input ())
+           (scfg ~snapshot_every:2 "first-fit"));
+      let seg0 = Shard.segment_path (p "s.out") 0 in
+      let seg0_lines = List.length (lines_of (read_file seg0)) in
+      Sys.remove seg0;
+      expect_error "sharded: journal missing"
+        (Printf.sprintf
+           "serve: shard 0 snapshot cursor is %d but the journal %s is missing"
+           seg0_lines seg0)
+        (Shard.run
+           (shard_cfg ~dir ~prefix:"s" ~resume:true ~input ())
+           (scfg ~snapshot_every:2 "first-fit"));
+      (* --resume with the output on stdout *)
+      expect_error "unsharded: resume to stdout"
+        "serve: --resume needs --output FILE (the output is the journal)"
+        (Daemon.run
+           {
+             (daemon_cfg ~dir ~prefix:"o" ~resume:true ~input ()) with
+             Daemon.output = "-";
+           }
+           (scfg "first-fit"));
+      let base = shard_cfg ~dir ~prefix:"o" ~resume:true ~input () in
+      expect_error "sharded: resume to stdout"
+        "serve: sharded mode needs --output FILE (journal segments derive \
+         from it)"
+        (Shard.run
+           { base with Shard.base = { base.Shard.base with Daemon.output = "-" } }
+           (scfg "first-fit")))
+
+(* The fd the next open gets: equal before and after a batch of runs
+   iff the runs closed every descriptor they opened. *)
+let next_fd path =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in (* dbp-lint: allow R9 fd-leak probe *)
+  Unix.close fd; (* dbp-lint: allow R9 fd-leak probe *)
+  fd
+
+(* A resume fed the wrong input diverges on its first journal entry;
+   the journal reader must still be closed, on every segment. *)
+let test_diverging_resume_closes_journal () =
+  in_tmp (fun dir ->
+      let n = 6 in
+      let input = write_input dir n in
+      let other = Filename.concat dir "other.jsonl" in
+      write_file other
+        (String.concat "\n"
+           (List.map
+              (fun i ->
+                Arrival.render
+                  (Item.make ~id:(100 + i) ~size:0.5 ~arrival:(float_of_int i)
+                     ~departure:(float_of_int i +. 2.)))
+              (List.init n Fun.id))
+        ^ "\n");
+      ignore
+        (daemon_ok
+           (daemon_cfg ~dir ~prefix:"u" ~snapshot:false ~input ())
+           (scfg "first-fit"));
+      ignore
+        (run_ok (shard_cfg ~dir ~prefix:"s" ~snapshot:false ~input ())
+           (scfg "first-fit"));
+      let before = next_fd input in
+      for _ = 1 to 50 do
+        (match
+           Daemon.run
+             (daemon_cfg ~dir ~prefix:"u" ~snapshot:false ~resume:true
+                ~input:other ())
+             (scfg "first-fit")
+         with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "unsharded resume on the wrong input succeeded");
+        match
+          Shard.run
+            (shard_cfg ~dir ~prefix:"s" ~snapshot:false ~resume:true
+               ~input:other ())
+            (scfg "first-fit")
+        with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "sharded resume on the wrong input succeeded"
+      done;
+      check_bool "no descriptor leaked by 50 diverging resumes of each daemon"
+        true
+        (next_fd input = before))
+
 (* ---- HTTP: total parsers and the hostile-client listener ---------------- *)
 
 let prop_http_total =
@@ -814,6 +1071,16 @@ let suite =
       test_routes_pin_tenants;
     Alcotest.test_case "config defects are structured errors" `Quick
       test_config_rejections;
+    Alcotest.test_case "daemon resume byte-identical at every cut point"
+      `Quick test_daemon_resume_at_every_cut_point;
+    Alcotest.test_case "daemon resume truncates a torn journal tail" `Quick
+      test_daemon_resume_truncates_torn_tail;
+    Alcotest.test_case "--resume without a journal starts fresh" `Quick
+      test_resume_without_journal_starts_fresh;
+    Alcotest.test_case "resume setup errors name file and shard" `Quick
+      test_resume_setup_errors;
+    Alcotest.test_case "diverging resumes close their journals" `Quick
+      test_diverging_resume_closes_journal;
     prop_http_total;
     Alcotest.test_case "request framing" `Quick test_http_framing;
     Alcotest.test_case "request-line parsing" `Quick test_http_parse_request;
