@@ -320,6 +320,7 @@ let engine_json rows =
       "  \"benchmark\": \"online engine sweep (indexed vs. reference)\",\n";
       "  \"command\": \"dune exec bench/main.exe -- engine\",\n";
       "  \"workload\": \"Generator.default, seed 42, horizon = jobs/2\",\n";
+      Printf.sprintf "  \"nproc\": %d,\n" (Dbp_par.Pool.available_cores ());
       Printf.sprintf
         "  \"note\": \"reference engine omitted above %d jobs (quadratic); \
          usage checked bit-identical between engines on every row where \

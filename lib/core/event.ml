@@ -21,47 +21,87 @@ let of_instance instance =
          ])
   |> List.sort compare
 
-let queue_of_instance instance =
-  (* Build the heap directly from the unsorted event list: O(n) heapify
-     instead of the O(n log n) sort of [of_instance].  Popping yields the
-     exact [of_instance] order because [compare] is a total order (ties
-     end at the unique item id). *)
-  Instance.items instance
-  |> List.concat_map (fun r ->
-         [
-           { time = Item.arrival r; kind = Arrival; item = r };
-           { time = Item.departure r; kind = Departure; item = r };
-         ])
-  |> Heap.of_list ~cmp:compare
-
 module Flat = struct
-  (* Payload layout: kind rank in the top bits, slot (position of the
-     item in the id-sorted item array) in the low bits.  Lexicographic
-     (time, payload) order on these payloads is exactly {!compare}:
-     equal times order by kind rank (departures first), then by slot —
-     and slots ascend with item ids. *)
-  let shift = 60
+  (* Arrivals come from a cursor over the id-sorted item array, in
+     (arrival, slot) order; departures wait in a flat heap keyed by
+     (departure, slot), pushed as their arrival is delivered, so the
+     heap holds only the jobs active at the current time.  Slots ascend
+     with ids, so both orders end at the item id like {!compare}. *)
+  type t = {
+    items : Item.t array;
+    order : int array; (* cursor position -> slot; [||] = identity *)
+    mutable cursor : int;
+    pending : Heap.Flat.t; (* (departure, slot) of delivered arrivals *)
+    mutable kind : kind;
+    mutable slot : int;
+  }
 
-  let payload ~kind ~slot =
-    if slot < 0 || slot >= 1 lsl shift then
-      invalid_arg "Event.Flat.payload: slot out of range";
-    (kind_rank kind lsl shift) lor slot
-
-  let payload_kind p = if p lsr shift = 0 then Departure else Arrival
-  let payload_slot p = p land ((1 lsl shift) - 1)
-
-  let queue_of_items items =
+  (* Ids in arrival order (the generator's case) need no permutation:
+     one O(n) scan finds out.  Otherwise a stable sort keeps equal
+     arrivals in slot order. *)
+  let arrival_order items =
     let n = Array.length items in
-    let keys = Float.Array.create (2 * n) in
-    let payloads = Array.make (2 * n) 0 in
-    Array.iteri
-      (fun slot r ->
-        Float.Array.set keys (2 * slot) (Item.arrival r);
-        payloads.(2 * slot) <- payload ~kind:Arrival ~slot;
-        Float.Array.set keys ((2 * slot) + 1) (Item.departure r);
-        payloads.((2 * slot) + 1) <- payload ~kind:Departure ~slot)
+    let sorted = ref true in
+    for s = 1 to n - 1 do
+      if Item.arrival items.(s) < Item.arrival items.(s - 1) then
+        sorted := false
+    done;
+    if !sorted then [||]
+    else begin
+      let order = Array.init n Fun.id in
+      let arrival s = Item.arrival items.(s) in
+      Array.stable_sort
+        (fun a b -> Float.compare (arrival a) (arrival b))
+        order;
+      order
+    end
+
+  let of_items items =
+    {
       items;
-    Heap.Flat.of_raw ~keys ~payloads
+      order = arrival_order items;
+      cursor = 0;
+      pending = Heap.Flat.create ();
+      kind = Arrival;
+      slot = -1;
+    }
+
+  let is_empty t =
+    t.cursor = Array.length t.items && Heap.Flat.is_empty t.pending
+
+  let take_departure t =
+    t.kind <- Departure;
+    t.slot <- Heap.Flat.min_payload t.pending;
+    Heap.Flat.remove_min t.pending
+
+  let pop t =
+    if t.cursor < Array.length t.items then begin
+      let s =
+        if Array.length t.order = 0 then t.cursor else t.order.(t.cursor)
+      in
+      let r = t.items.(s) in
+      (* Equal times: the departure goes first. *)
+      if
+        (not (Heap.Flat.is_empty t.pending))
+        && Heap.Flat.min_key t.pending <= Item.arrival r
+      then take_departure t
+      else begin
+        t.cursor <- t.cursor + 1;
+        t.kind <- Arrival;
+        t.slot <- s;
+        Heap.Flat.push t.pending ~key:(Item.departure r) ~payload:s
+      end
+    end
+    else if Heap.Flat.is_empty t.pending then
+      invalid_arg "Event.Flat.pop: no event left"
+    else take_departure t;
+    t.kind
+
+  let slot t = t.slot
+
+  let time t =
+    let r = t.items.(t.slot) in
+    match t.kind with Arrival -> Item.arrival r | Departure -> Item.departure r
 end
 
 let arrivals events =

@@ -13,34 +13,37 @@ val of_instance : Instance.t -> t list
 (** All events in delivery order: increasing time; at equal times
     departures first; ties broken by item id. *)
 
-val queue_of_instance : Instance.t -> t Heap.t
-(** The same events as a binary-heap queue: popping the heap dry yields
-    exactly the {!of_instance} order (the comparator is total, so the
-    heap is deterministic).  This is the indexed engine's event source —
-    O(n) to build, O(log n) per pop, and it supports future interleaving
-    of events not known up front. *)
+(** The event source of the flat engine.
 
-(** Index-encoded events for the flat engine.
-
-    An event is a (time, payload) pair in a {!Heap.Flat} queue; the
-    payload packs the kind rank (departure = 0 in the top bits, so at
-    equal times departures pop first) and the *slot* of the item in the
-    engine's id-sorted item array.  Lexicographic (key, payload) order
-    therefore reproduces {!compare} exactly — the tie-break invariant
-    the invariant suite pins. *)
+    Arrivals are read by a cursor over the id-sorted item array in
+    (arrival, id) order — the array itself when ids already ascend with
+    arrivals, otherwise one stable permutation of it.  Departures wait in
+    a {!Heap.Flat} keyed by (departure, slot), each pushed as its
+    arrival is delivered, so the heap holds only the items active at the
+    current time.  The next event is the heap's least departure when its
+    time is at most the next arrival's, otherwise that arrival: popping
+    dry yields exactly the {!of_instance} order (time, departures first,
+    then id) — the tie-break invariant the invariant suite pins. *)
 module Flat : sig
-  val payload : kind:kind -> slot:int -> int
-  (** [invalid_arg] if [slot] is negative or does not fit the payload
-      width (2^60 slots — unreachable for real instances). *)
+  type t
 
-  val payload_kind : int -> kind
+  val of_items : Item.t array -> t
+  (** The events of [items], which must be id-ascending
+      ({!Instance.to_array} order) for the pop order to equal
+      {!of_instance}.  O(n) when ids ascend with arrivals, O(n log n)
+      otherwise.  The source reads [items] as it goes: do not mutate it. *)
 
-  val payload_slot : int -> int
+  val is_empty : t -> bool
 
-  val queue_of_items : Item.t array -> Heap.Flat.t
-  (** Both events of every item, heapified in O(n).  [items] must be the
-      id-ascending item array ([Instance.items] order) for the pop order
-      to equal {!of_instance}. *)
+  val pop : t -> kind
+  (** Deliver the next event and return its kind; {!slot} and {!time}
+      then describe it.  @raise Invalid_argument if {!is_empty}. *)
+
+  val slot : t -> int
+  (** Position in [items] of the item of the event last popped. *)
+
+  val time : t -> float
+  (** Time of the event last popped: its item's arrival or departure. *)
 end
 
 val arrivals : t list -> Item.t list

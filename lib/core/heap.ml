@@ -1,8 +1,8 @@
 (* Array-backed binary min-heap.  The element order is given by the
    [cmp] closure captured at creation; with a *total* order (no two
    distinct elements comparing equal) the pop sequence is exactly the
-   sorted sequence, independent of push order — the property the online
-   engine's event queue relies on for reproducibility. *)
+   sorted sequence, independent of push order — the property the event
+   queues built on it rely on for reproducibility. *)
 
 type 'a t = {
   cmp : 'a -> 'a -> int;
@@ -27,20 +27,6 @@ let rec sift_up h i =
       swap h.data i parent;
       sift_up h parent
     end
-  end
-
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest =
-    if l < h.size && h.cmp h.data.(l) h.data.(i) < 0 then l else i
-  in
-  let smallest =
-    if r < h.size && h.cmp h.data.(r) h.data.(smallest) < 0 then r
-    else smallest
-  in
-  if smallest <> i then begin
-    swap h.data i smallest;
-    sift_down h smallest
   end
 
 let push h x =
@@ -87,32 +73,14 @@ let pop h =
     Some top
   end
 
-let of_list ~cmp xs =
-  match xs with
-  | [] -> create ~cmp ()
-  | _ ->
-      let data = Array.of_list xs in
-      let h = { cmp; data; size = Array.length data } in
-      (* Floyd heapify: O(n). *)
-      for i = (h.size / 2) - 1 downto 0 do
-        sift_down h i
-      done;
-      h
-
-let drain h =
-  let rec go acc =
-    match pop h with None -> List.rev acc | Some x -> go (x :: acc)
-  in
-  go []
-
 (* ------------------------------------------------------------------ *)
 (* Flat heap: a (floatarray, int array) pair ordered lexicographically
    by (key, payload).  No element is ever boxed — the keys live in an
-   unboxed float array and the payloads are immediate ints — so pushes,
-   pops and the initial heapify allocate nothing beyond the two backing
-   arrays.  Payloads double as tie-breakers: with distinct payloads the
-   order is total and the pop sequence is the sorted sequence, exactly
-   like the generic heap above. *)
+   unboxed float array and the payloads are immediate ints — so pushes
+   and pops allocate nothing beyond the two backing arrays.  Payloads
+   double as tie-breakers: with distinct payloads the order is total
+   and the pop sequence is the sorted sequence, exactly like the
+   generic heap above. *)
 
 module Flat = struct
   type t = {
@@ -150,19 +118,6 @@ module Flat = struct
         swap t i parent;
         sift_up t parent
       end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest =
-      if l < t.size && lt t.keys t.payloads l i then l else i
-    in
-    let smallest =
-      if r < t.size && lt t.keys t.payloads r smallest then r else smallest
-    in
-    if smallest <> i then begin
-      swap t i smallest;
-      sift_down t smallest
     end
 
   let push t ~key ~payload =
@@ -216,20 +171,4 @@ module Flat = struct
       t.payloads.(!i) <- payload;
       sift_up t !i
     end
-
-  let of_raw ~keys ~payloads =
-    let size = Float.Array.length keys in
-    if size <> Array.length payloads then
-      invalid_arg "Heap.Flat.of_raw: length mismatch";
-    Float.Array.iter
-      (fun k ->
-        if not (Float.is_finite k) then
-          invalid_arg "Heap.Flat.of_raw: key not finite")
-      keys;
-    let t = { keys; payloads; size } in
-    (* Floyd heapify: O(n). *)
-    for i = (size / 2) - 1 downto 0 do
-      sift_down t i
-    done;
-    t
 end

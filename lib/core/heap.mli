@@ -1,18 +1,15 @@
 (** Array-backed binary min-heap.
 
-    Used by the indexed online engine as its event queue.  When [cmp] is
-    a total order (no two distinct pushed elements compare equal — true
-    for {!Event.compare}, which falls back to the unique item id), the
-    pop sequence is exactly the [cmp]-sorted sequence regardless of push
-    order, so a heap-driven run is reproducible and agrees with a
-    pre-sorted list. *)
+    The event queue of the serve engine's pending departures and of the
+    fault-tolerant engine.  When [cmp] is a total order (no two distinct
+    pushed elements compare equal — e.g. one that falls back to the
+    unique item id), the pop sequence is exactly the [cmp]-sorted
+    sequence regardless of push order, so a heap-driven run is
+    reproducible and agrees with a pre-sorted list. *)
 
 type 'a t
 
 val create : cmp:('a -> 'a -> int) -> unit -> 'a t
-
-val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
-(** Floyd heapify, O(n). *)
 
 val push : 'a t -> 'a -> unit
 
@@ -25,30 +22,21 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val drain : 'a t -> 'a list
-(** Pop everything: the remaining elements in [cmp]-sorted order.
-    Empties the heap. *)
-
 (** Flat min-heap over (float key, int payload) pairs, ordered
     lexicographically by (key, payload).
 
     The keys live in an unboxed [floatarray] and the payloads are
     immediate ints, so no element is ever boxed and the operational
     path allocates nothing beyond the backing arrays.  This is the
-    flat engine's event queue: events are index-encoded into the
-    payload (see {!Event.Flat}), and because payloads are distinct the
-    order is total — popping dry yields the sorted sequence exactly
-    like the generic heap.  Keys must be finite ([invalid_arg]
-    otherwise): the primitive float compares used internally are not
-    NaN-safe. *)
+    flat engine's departure queue (see {!Event.Flat}): the payload is
+    the item's slot, and because payloads are distinct the order is
+    total — popping dry yields the sorted sequence exactly like the
+    generic heap.  Keys must be finite ([invalid_arg] otherwise): the
+    primitive float compares used internally are not NaN-safe. *)
 module Flat : sig
   type t
 
   val create : unit -> t
-
-  val of_raw : keys:floatarray -> payloads:int array -> t
-  (** Floyd-heapify the given parallel arrays in place, O(n); the heap
-      takes ownership of both.  The arrays must have equal lengths. *)
 
   val push : t -> key:float -> payload:int -> unit
 

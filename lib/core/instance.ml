@@ -17,6 +17,20 @@ let of_items items =
 let empty = { by_id = Int_map.empty }
 
 let items t = Int_map.bindings t.by_id |> List.map snd
+
+let to_array t =
+  match Int_map.min_binding_opt t.by_id with
+  | None -> [||]
+  | Some (_, first) ->
+      let a = Array.make (Int_map.cardinal t.by_id) first in
+      let i = ref 0 in
+      Int_map.iter
+        (fun _ r ->
+          a.(!i) <- r;
+          incr i)
+        t.by_id;
+      a
+
 let length t = Int_map.cardinal t.by_id
 let is_empty t = Int_map.is_empty t.by_id
 let find t id = Int_map.find id t.by_id

@@ -14,6 +14,10 @@ val empty : t
 val items : t -> Item.t list
 (** In increasing id order. *)
 
+val to_array : t -> Item.t array
+(** {!items} as a fresh array, filled straight from the id map without
+    building the list. *)
+
 val length : t -> int
 val is_empty : t -> bool
 

@@ -235,15 +235,17 @@ let reference_exn obs algo instance =
      leftmost descent needs leaves ordered by bin index, so a closed
      bin's leaf stays retired and only the row is reused.
 
-   Events come index-encoded from a {!Heap.Flat} queue ({!Event.Flat}),
-   which preserves the (time, departures-first, item id) delivery order
-   bit-for-bit.  Departures at a timestamp are drained in a batch: each
-   departure updates its row (and emits observer events) immediately,
-   but the O(log n) fit-tree writes are deferred to a dirty stack that
-   is flushed before the next arrival's decision — fit queries happen
-   only at arrivals, which sort after all equal-time departures, so the
-   deferral is unobservable and a k-departure batch costs one tree
-   update per *touched bin* instead of one per departure.
+   Events come from {!Event.Flat}: arrivals from a cursor over the
+   id-sorted item array, departures from a {!Heap.Flat} that holds only
+   the active items, merged in the (time, departures-first, item id)
+   delivery order bit-for-bit.  Departures at a timestamp are drained
+   in a batch: each departure updates its row (and emits observer
+   events) immediately, but the O(log n) fit-tree writes are deferred
+   to a dirty stack that is flushed before the next arrival's decision
+   — fit queries happen only at arrivals, which sort after all
+   equal-time departures, so the deferral is unobservable and a
+   k-departure batch costs one tree update per *touched bin* instead
+   of one per departure.
 
    Level bookkeeping uses the exact float expressions of the reference
    engine ([level +. size] on place; [0.] or [level -. size] on
@@ -497,7 +499,7 @@ let flat_run obs algo instance =
           i_departed = s.departed;
         }
   in
-  let items = Array.of_list (Instance.items instance) in
+  let items = Instance.to_array instance in
   let fs = flat_create items in
   let index = flat_index fs in
   let place b slot now =
@@ -588,14 +590,12 @@ let flat_run obs algo instance =
           fail (Closed_bin { algo = algo.name; bin = idx; time = now })
         else place idx slot now
   in
-  let queue = Event.Flat.queue_of_items items in
-  while not (Heap.Flat.is_empty queue) do
-    let t = Heap.Flat.min_key queue in
-    let p = Heap.Flat.min_payload queue in
-    Heap.Flat.remove_min queue;
-    match Event.Flat.payload_kind p with
-    | Event.Departure -> depart t (Event.Flat.payload_slot p)
-    | Event.Arrival -> arrive t (Event.Flat.payload_slot p)
+  let events = Event.Flat.of_items items in
+  while not (Event.Flat.is_empty events) do
+    match Event.Flat.pop events with
+    | Event.Departure ->
+        depart (Event.Flat.time events) (Event.Flat.slot events)
+    | Event.Arrival -> arrive (Event.Flat.time events) (Event.Flat.slot events)
   done;
   fs
 

@@ -17,13 +17,15 @@
 
     - {!run_indexed} (the default {!run}): the flat-memory engine — all
       hot per-event state in parallel unboxed arrays (DESIGN.md
-      section 13): index-encoded events from a {!Heap.Flat} queue, fit
-      queries through {!Fit_index} (O(log n)), per-open-bin state in
-      recycled arena rows, equal-timestamp departures drained in a
-      batch before the fit index is touched again.  An n-event run
-      costs O(n (log n + a)) where a is the concurrent active count of
-      the touched bin; boxed {!Bin_state} values exist only on demand
-      (lazy views, the final packing).
+      section 13): arrivals read in order from the item array and
+      departures from a {!Heap.Flat} of the active items only
+      ({!Dbp_core.Event.Flat}), fit queries through {!Fit_index}
+      (O(log n)), per-open-bin state in recycled arena rows,
+      equal-timestamp departures drained in a batch before the fit
+      index is touched again.  An n-event run costs O(n (log n + a))
+      where a is the concurrent active count of the touched bin; boxed
+      {!Bin_state} values exist only on demand (lazy views, the final
+      packing).
     - {!run_reference}: the original list-walking engine, frozen as the
       differential-testing oracle; Theta(n * bins-ever-opened).
 

@@ -299,6 +299,13 @@ let lifecycle cfg scfg ?(registry = false) ~shards setup =
     let closers = ref [] in
     let defer f = closers := f :: !closers in
     let body () =
+      (* Echoes and HTTP responses are writes to peers that may vanish
+         mid-write; EPIPE must come back as an error code the loops
+         handle, not a process-killing signal.  Deferred first, so the
+         previous disposition comes back last, once every channel is
+         closed. *)
+      let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      defer (fun () -> Sys.set_signal Sys.sigpipe prev_pipe);
       let registry =
         if registry || Option.is_some cfg.metrics_out then
           Some (Dbp_obs.Metrics.create ())

@@ -21,8 +21,11 @@
     - the metrics sink: registry, health gauges, build info, span
       recorder, and the dump to a file, stdout or JSON;
     - the Unix-domain listener (stale-socket unlink, bind, cleanup),
-      SIGUSR1 (dump between lines) and, in socket mode, SIGINT/SIGTERM
-      (stop the accept loop cleanly, final snapshot included);
+      SIGUSR1 (dump between lines), SIGPIPE (ignored, so a write to a
+      peer that hung up fails with EPIPE instead of killing the process)
+      and, in socket mode, SIGINT/SIGTERM (stop the accept loop cleanly,
+      final snapshot included); every previous disposition is restored
+      on exit;
     - teardown of everything opened, on every exit path, and the
       translation of [Sys_error]/[Unix_error] into [Error].
 

@@ -243,11 +243,6 @@ let run cfg scfg =
       Array.iter
         (fun r -> try Pool.Resident.close r with Pool.Resident_error _ -> ())
         residents);
-  (* Echoes and HTTP responses are best-effort writes to peers that may
-     vanish mid-write; EPIPE must come back as an error code, not a
-     process-killing signal. *)
-  let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  host.Daemon.defer (fun () -> Sys.set_signal Sys.sigpipe prev_pipe);
   (* Per-shard mailbox gauges (the "pool" of a sharded daemon), set at
      scrape/dump time from the resident counters. *)
   let pool_gauges =

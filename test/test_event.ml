@@ -41,7 +41,26 @@ let prop_events_sorted =
       in
       sorted times)
 
-(* --- heap queue: must preserve the of_instance delivery order ------- *)
+(* --- flat source: must preserve the of_instance delivery order ------ *)
+
+(* Drain [Event.Flat] dry into boxed events. *)
+let flat_drain inst =
+  let items = Instance.to_array inst in
+  let src = Event.Flat.of_items items in
+  let rec go acc =
+    if Event.Flat.is_empty src then List.rev acc
+    else
+      let kind = Event.Flat.pop src in
+      let e =
+        {
+          Event.time = Event.Flat.time src;
+          kind;
+          item = items.(Event.Flat.slot src);
+        }
+      in
+      go (e :: acc)
+  in
+  go []
 
 let event_key e =
   (e.Event.time, Event.kind_to_string e.Event.kind, Item.id e.Event.item)
@@ -53,9 +72,7 @@ let test_queue_ties_pinned () =
   let inst =
     instance [ (0.2, 0., 5.); (0.2, 0., 3.); (0.2, 5., 7.); (0.2, 5., 7.) ]
   in
-  let popped =
-    Event.queue_of_instance inst |> Heap.drain |> List.map event_key
-  in
+  let popped = flat_drain inst |> List.map event_key in
   Alcotest.(check (list (triple (float 1e-12) string int)))
     "departures before arrivals, ties by id"
     [
@@ -74,9 +91,7 @@ let prop_queue_matches_of_instance =
   qtest ~count:300 "heap queue = sorted event list" (gen_instance ())
     (fun inst ->
       let sorted = Event.of_instance inst |> List.map event_key in
-      let popped =
-        Event.queue_of_instance inst |> Heap.drain |> List.map event_key
-      in
+      let popped = flat_drain inst |> List.map event_key in
       sorted = popped)
 
 let prop_queue_departures_first =
@@ -98,7 +113,7 @@ let prop_queue_departures_first =
   in
   qtest ~count:300 "queue: departures precede arrivals at equal times" gen
     (fun inst ->
-      let popped = Event.queue_of_instance inst |> Heap.drain in
+      let popped = flat_drain inst in
       let rec ok = function
         | a :: (b :: _ as rest) ->
             (a.Event.time < b.Event.time

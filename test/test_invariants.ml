@@ -129,31 +129,25 @@ let invariant_tests ~online (name, pack) =
     ]
   else []
 
-(* ---- flat event heap: tie-break preservation --------------------------
+(* ---- flat event source: tie-break preservation -----------------------
 
-   The flat engine replaces the boxed event heap with a (float key, int
-   payload) pair of arrays; the payload packs (kind rank, slot) so that
-   lexicographic (key, payload) order reproduces the boxed comparator:
-   increasing time, departures before arrivals at equal times, then item
-   id.  Pin that the encoding really preserves the order by draining the
-   flat queue dry and comparing the full (time, kind, id) sequence
-   against [Event.of_instance]. *)
+   The flat engine reads arrivals from a cursor over the id-sorted item
+   array and keeps only pending departures in a (float key, int slot)
+   heap; merging the two must reproduce the boxed comparator: increasing
+   time, departures before arrivals at equal times, then item id.  Pin
+   that by draining the source dry and comparing the full (time, kind,
+   id) sequence against [Event.of_instance]. *)
 
 module Ev = Dbp_core.Event
-module FH = Dbp_core.Heap.Flat
 
 let flat_pop_order inst =
-  let items = Array.of_list (Instance.items inst) in
-  let q = Ev.Flat.queue_of_items items in
+  let items = Instance.to_array inst in
+  let src = Ev.Flat.of_items items in
   let rec drain acc =
-    if FH.is_empty q then List.rev acc
+    if Ev.Flat.is_empty src then List.rev acc
     else
-      let t = FH.min_key q in
-      let p = FH.min_payload q in
-      FH.remove_min q;
-      drain
-        ((t, Ev.Flat.payload_kind p, Item.id items.(Ev.Flat.payload_slot p))
-        :: acc)
+      let kind = Ev.Flat.pop src in
+      drain ((Ev.Flat.time src, kind, Item.id items.(Ev.Flat.slot src)) :: acc)
   in
   drain []
 
@@ -193,8 +187,46 @@ let test_flat_heap_tie_break_unit () =
   check_bool "departure before equal-time arrivals, ids ascending" true
     (List.equal same_event expected order)
 
+let test_flat_source_permuted_unit () =
+  (* Ids against arrival order, with an arrival tie (ids 1 and 3 at
+     t = 1) and a departure landing on an arrival (id 2 leaves at 3,
+     when id 0 arrives): the cursor must walk the stable permutation. *)
+  let inst =
+    instance [ (0.5, 3., 5.); (0.2, 1., 4.); (0.3, 0., 3.); (0.2, 1., 2.) ]
+  in
+  let expected =
+    [
+      (0., Ev.Arrival, 2);
+      (1., Ev.Arrival, 1);
+      (1., Ev.Arrival, 3);
+      (2., Ev.Departure, 3);
+      (3., Ev.Departure, 2);
+      (3., Ev.Arrival, 0);
+      (4., Ev.Departure, 1);
+      (5., Ev.Departure, 0);
+    ]
+  in
+  check_bool "permuted cursor: arrival order, departures first, ids ascending"
+    true
+    (List.equal same_event expected (flat_pop_order inst));
+  check_bool "permuted cursor = Event.of_instance" true (same_order inst)
+
+(* Relabel ids in (arrival, id) order: the cursor's identity path. *)
+let in_arrival_order inst =
+  Instance.arrivals_in_order inst
+  |> List.mapi (fun id r ->
+         Item.make ~id ~size:(Item.size r) ~arrival:(Item.arrival r)
+           ~departure:(Item.departure r))
+  |> Instance.of_items
+
 let flat_heap_tests =
   [
+    Alcotest.test_case "flat source: ids against arrival order" `Quick
+      test_flat_source_permuted_unit;
+    qtest ~count:300
+      "flat source pop order = Event.of_instance (ids in arrival order)"
+      (QCheck2.Gen.map in_arrival_order (gen_burst_instance ()))
+      same_order;
     Alcotest.test_case "flat heap: departure-before-arrival tie-break" `Quick
       test_flat_heap_tie_break_unit;
     qtest ~count:300 "flat heap pop order = Event.of_instance (general)"

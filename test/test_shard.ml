@@ -938,6 +938,108 @@ let test_listener_sheds_slowloris () =
       Unix.close fd; (* dbp-lint: allow R9 test client socket *)
       check_string "connection closed without a response" "" resp)
 
+(* ---- SIGPIPE: a client that hangs up without reading ------------------ *)
+
+(* The daemon under test is the real binary in a child process: if a
+   write to a vanished peer raised SIGPIPE, it is the child that dies,
+   not the test runner.  The client side here needs real sockets and a
+   real process — R9-allowed line by line, as for the HTTP client above. *)
+let dbp_exe = Filename.concat (Filename.concat ".." "bin") "dbp.exe"
+
+(* Connect, retrying while the daemon is between bind and listen. *)
+let connect_unix path =
+  let rec go attempt =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in (* dbp-lint: allow R9 test client socket *)
+    match Unix.connect fd (Unix.ADDR_UNIX path) with (* dbp-lint: allow R9 test client socket *)
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when attempt < 500 ->
+        Unix.close fd; (* dbp-lint: allow R9 test client socket *)
+        Unix.sleepf 0.01; (* dbp-lint: allow R9 test polls the child *)
+        go (attempt + 1)
+  in
+  go 0
+
+(* Write everything, or stop at the first broken-pipe error: the exit
+   status checked afterwards says whether the daemon survived. *)
+let send_all fd s =
+  let rec go off =
+    if off < String.length s then
+      match Unix.write_substring fd s off (String.length s - off) with (* dbp-lint: allow R9 test client socket *)
+      | k -> go (off + k)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  in
+  go 0
+
+(* Reap the child within about 30 s, or kill it and fail. *)
+let wait_child pid =
+  let rec go attempt =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with (* dbp-lint: allow R9 test reaps its child *)
+    | 0, _ when attempt < 3000 ->
+        Unix.sleepf 0.01; (* dbp-lint: allow R9 test polls the child *)
+        go (attempt + 1)
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill; (* dbp-lint: allow R9 test reaps its child *)
+        ignore (Unix.waitpid [] pid); (* dbp-lint: allow R9 test reaps its child *)
+        Alcotest.fail "daemon still running 30 s after its client left"
+    | _, status -> status
+  in
+  go 0
+
+let status_to_string = function
+  | Unix.WEXITED c -> Printf.sprintf "exit %d" c
+  | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
+  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
+
+let test_socket_daemon_survives_client_hangup () =
+  in_tmp (fun dir ->
+      let n = 1130 in
+      let sock = Filename.concat dir "ingest.sock" in
+      let out = Filename.concat dir "out.jsonl" in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in (* dbp-lint: allow R9 test child stdio *)
+      let pid =
+        Unix.create_process dbp_exe (* dbp-lint: allow R9 test spawns the daemon *)
+          [| dbp_exe; "serve"; "--socket"; sock; "--output"; out;
+             "--max-arrivals"; string_of_int n |]
+          null null null
+      in
+      Unix.close null; (* dbp-lint: allow R9 test child stdio *)
+      (* The test runner is a client too: its own writes must not raise
+         SIGPIPE should the daemon be gone. *)
+      let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in (* dbp-lint: allow R9 test client ignores SIGPIPE *)
+      let status =
+        Fun.protect
+          ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev) (* dbp-lint: allow R9 test client ignores SIGPIPE *)
+          (fun () ->
+            let fd = connect_unix sock in
+            send_all fd (String.concat "\n" (input_lines n) ^ "\n");
+            (* hang up at once, every echo unread *)
+            Unix.close fd; (* dbp-lint: allow R9 test client socket *)
+            wait_child pid)
+      in
+      check_string "daemon exit status" "exit 0" (status_to_string status);
+      check_int "every decision made reached the journal" n
+        (List.length (lines_of (read_file out)));
+      check_bool "socket file removed" false (Sys.file_exists sock))
+
+(* Both daemons ignore SIGPIPE while they run, and put back whatever
+   disposition they found. *)
+let test_sigpipe_disposition_restored () =
+  in_tmp (fun dir ->
+      let input = write_input dir 6 in
+      let is_default = function Sys.Signal_default -> true | _ -> false in
+      let prev = Sys.signal Sys.sigpipe Sys.Signal_default in (* dbp-lint: allow R9 test inspects the disposition *)
+      Fun.protect
+        ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev) (* dbp-lint: allow R9 test inspects the disposition *)
+        (fun () ->
+          ignore
+            (daemon_ok (daemon_cfg ~dir ~prefix:"u" ~input ()) (scfg "first-fit"));
+          check_bool "unsharded: SIGPIPE disposition restored" true
+            (is_default (Sys.signal Sys.sigpipe Sys.Signal_default)); (* dbp-lint: allow R9 test inspects the disposition *)
+          ignore (run_ok (shard_cfg ~dir ~prefix:"s" ~input ()) (scfg "first-fit"));
+          check_bool "sharded: SIGPIPE disposition restored" true
+            (is_default (Sys.signal Sys.sigpipe Sys.Signal_default)))) (* dbp-lint: allow R9 test inspects the disposition *)
+
 (* ---- per-arrival spans through the daemons ----------------------------- *)
 
 let span_fields line =
@@ -1081,6 +1183,10 @@ let suite =
       test_resume_setup_errors;
     Alcotest.test_case "diverging resumes close their journals" `Quick
       test_diverging_resume_closes_journal;
+    Alcotest.test_case "socket daemon survives a client hang-up (SIGPIPE)"
+      `Quick test_socket_daemon_survives_client_hangup;
+    Alcotest.test_case "SIGPIPE disposition restored on exit" `Quick
+      test_sigpipe_disposition_restored;
     prop_http_total;
     Alcotest.test_case "request framing" `Quick test_http_framing;
     Alcotest.test_case "request-line parsing" `Quick test_http_parse_request;
