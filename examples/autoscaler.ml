@@ -51,8 +51,6 @@ let () =
                 end;
                 stepper.Dbp_online.Engine.notify ~item ~index);
           });
-      (* observe through the plain stepper: the wrapper must see notify *)
-      make_indexed = None;
     }
   in
   let packing = Dbp_online.Engine.run watched jobs in

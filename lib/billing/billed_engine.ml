@@ -21,6 +21,7 @@ type live = {
   idx : int;
   acquired : float;
   mutable bin : Bin_state.t;
+  mutable latest : float;  (** running max of placed departures *)
   mutable active : int;
   mutable release_at : float option;
       (** scheduled release boundary while empty; None when occupied *)
@@ -69,7 +70,7 @@ let run ?(reuse_idle = true) ~model algo instance =
              E.index = s.idx;
              opened_at = s.acquired;
              level = Bin_state.level_at s.bin now;
-             state = Lazy.from_val s.bin;
+             latest_departure = s.latest;
            })
   in
   let place s item =
@@ -80,6 +81,7 @@ let run ?(reuse_idle = true) ~model algo instance =
            (Printf.sprintf "%s: item %d overflows server %d" algo.E.name
               (Item.id item) s.idx));
     s.bin <- Bin_state.place s.bin item;
+    s.latest <- Float.max s.latest (Item.departure item);
     s.active <- s.active + 1;
     s.release_at <- None;
     Hashtbl.replace home (Item.id item) s;
@@ -93,16 +95,19 @@ let run ?(reuse_idle = true) ~model algo instance =
         let s = Hashtbl.find home (Item.id event.Event.item) in
         s.active <- s.active - 1;
         if s.active = 0 then
-          s.release_at <- Some (release_boundary model ~acquired:s.acquired now)
+          s.release_at <- Some (release_boundary model ~acquired:s.acquired now);
+        stepper.E.departed event.Event.item
     | Event.Arrival -> (
         let item = event.Event.item in
-        match stepper.E.decide ~now ~open_bins:(views now) item with
+        let index = E.index_of_views (views now) in
+        match stepper.E.decide ~now ~index item with
         | E.Open_new ->
             let s =
               {
                 idx = List.length !servers;
                 acquired = now;
                 bin = Bin_state.empty ~index:(List.length !servers);
+                latest = neg_infinity;
                 active = 0;
                 release_at = None;
                 released = None;

@@ -47,9 +47,9 @@ val of_placement : index:int -> Item.t list -> t
     O(k log k + sum of concurrent actives) endpoint sweep instead of
     the fold's O(k^2) incremental profile merges.  [placed] is in
     placement order (oldest first).  This is how the flat engine
-    materialises [Bin_state] values on demand: it records only each
-    bin's placement chain during a run and reconstructs the boxed state
-    here when a view or the final packing needs it. *)
+    materialises the final packing: it records only each bin's
+    placement chain during a run and reconstructs the boxed states
+    here. *)
 
 val place_unchecked : t -> Item.t -> t
 (** [place] without the [fits] admission re-check, for callers that have

@@ -77,6 +77,7 @@ type rbin = {
   mutable bin : Bin_state.t;
   mutable active : int;
   mutable level : float;
+  mutable latest : float;  (* running max of placed departures *)
   mutable prev : int;
   mutable next : int;
   mutable crashed : float option;
@@ -91,6 +92,7 @@ let dummy_bin =
     bin = Bin_state.empty ~index:(-1);
     active = 0;
     level = 0.;
+    latest = neg_infinity;
     prev = -1;
     next = -1;
     crashed = None;
@@ -150,6 +152,7 @@ let append_bin r now =
       bin = Bin_state.empty ~index:idx;
       active = 0;
       level = 0.;
+      latest = neg_infinity;
       prev = r.tail;
       next = -1;
       crashed = None;
@@ -171,11 +174,11 @@ let unlink r lb =
   lb.prev <- -1;
   lb.next <- -1
 
-(* Open-bin views in index order: the exact list the reference engine
-   hands to [decide]. *)
-let views r =
+(* The index over the open bins in index order: the exact views the
+   reference engine hands to [decide]. *)
+let index r =
   let rec go idx acc =
-    if idx < 0 then List.rev acc
+    if idx < 0 then E.index_of_views (List.rev acc)
     else
       let lb = bin_of r idx in
       go lb.next
@@ -183,7 +186,7 @@ let views r =
            E.index = lb.idx;
            opened_at = lb.opened;
            level = lb.level;
-           state = Lazy.from_val lb.bin;
+           latest_departure = lb.latest;
          }
         :: acc)
   in
@@ -198,6 +201,7 @@ let do_place r lb item origin =
   lb.bin <- Bin_state.place_unchecked lb.bin item;
   lb.active <- lb.active + 1;
   lb.level <- lb.level +. Item.size item;
+  lb.latest <- Float.max lb.latest (Item.departure item);
   lb.residents <- Item.id item :: lb.residents;
   Hashtbl.replace r.homes (Item.id item) (lb, item, origin);
   (match r.obs with
@@ -218,7 +222,7 @@ let arrival_target r ~now item =
   (match r.obs with
   | Some o -> o.Observer.on_arrival ~time:now ~item
   | None -> ());
-  let decision = r.stepper.E.decide ~now ~open_bins:(views r) item in
+  let decision = r.stepper.E.decide ~now ~index:(index r) item in
   (match r.obs with
   | Some o ->
       o.Observer.on_decision ~time:now ~item
@@ -365,7 +369,7 @@ let handle_attempt r ~now p =
     (match r.obs with
     | Some o -> o.Observer.on_arrival ~time:now ~item
     | None -> ());
-    let decision = r.stepper.E.decide ~now ~open_bins:(views r) item in
+    let decision = r.stepper.E.decide ~now ~index:(index r) item in
     (match r.obs with
     | Some o ->
         o.Observer.on_decision ~time:now ~item

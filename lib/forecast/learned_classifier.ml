@@ -1,36 +1,17 @@
 open Dbp_core
-module E = Dbp_online.Engine
 
 let default_key item = Printf.sprintf "%.2f" (Item.size item)
 
 let make ?(key = default_key) ?(fallback = 1.) ~rho () =
   if rho <= 0. then invalid_arg "Learned_classifier.make: rho <= 0";
-  {
-    E.name = Printf.sprintf "cbdt-learned(rho=%g)" rho;
-    make =
-      (fun () ->
-        let predictor = Predictor.create ~key () in
-        let bin_category : (int, int) Hashtbl.t = Hashtbl.create 32 in
-        let category item =
-          let predicted_departure =
-            Predictor.estimator ~fallback predictor item
-          in
-          max 1 (int_of_float (Float.ceil ((predicted_departure /. rho) -. 1e-9)))
-        in
-        let decide ~now:_ ~open_bins item =
-          let cat = category item in
-          let mine =
-            List.filter
-              (fun v ->
-                match Hashtbl.find_opt bin_category v.E.index with
-                | Some c -> c = cat
-                | None -> false)
-              open_bins
-          in
-          Dbp_online.Any_fit.choose_fitting (fun _ _ -> false) mine item
-        in
-        let notify ~item ~index = Hashtbl.replace bin_category index (category item) in
-        let departed item = Predictor.observe predictor item in
-        { E.decide; notify; departed });
-    make_indexed = None;
-  }
+  Dbp_online.Category_first_fit.make_per_run
+    ~name:(Printf.sprintf "cbdt-learned(rho=%g)" rho)
+    (fun () ->
+      let predictor = Predictor.create ~key () in
+      let category item =
+        let predicted_departure = Predictor.estimator ~fallback predictor item in
+        string_of_int
+          (max 1
+             (int_of_float (Float.ceil ((predicted_departure /. rho) -. 1e-9))))
+      in
+      (category, Predictor.observe predictor))

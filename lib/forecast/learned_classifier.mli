@@ -5,6 +5,8 @@
     updates the per-class duration predictor (via the engine's departure
     hook), and every arriving job is classified by its predicted
     departure.  Unseen classes fall back to a configurable duration.
+    Placement is {!Dbp_online.Category_first_fit}'s, with one fresh
+    predictor per run.
 
     This is the deployable version of the paper's clairvoyant setting:
     no oracle, no offline training pass — just history accumulating

@@ -1,44 +1,33 @@
 open Dbp_core
 
 let fits (view : Engine.bin_view) item =
-  view.level +. Item.size item <= Bin_state.capacity +. Bin_state.tolerance
+  Fit_index.fits_level view.level (Item.size item)
 
-let choose_fitting better views item =
-  let fitting = List.filter (fun v -> fits v item) views in
-  match fitting with
-  | [] -> Engine.Open_new
-  | first :: rest ->
-      let best =
-        List.fold_left (fun acc v -> if better v acc then v else acc) first rest
-      in
-      Engine.Place best.Engine.index
+let stateless name decide =
+  {
+    Engine.name;
+    make =
+      (fun () ->
+        {
+          Engine.decide;
+          notify = (fun ~item:_ ~index:_ -> ());
+          departed = Engine.default_departed;
+        });
+  }
 
 (* The level preferences are exact float comparisons: a strict [>] / [<]
    keeps the earliest-opened bin on equal levels, giving a total order
-   that the {!Fit_index} trees reproduce bin-for-bin.  (An epsilon-
-   fuzzy preference is not transitive and cannot be indexed.) *)
+   that the {!Fit_index} trees answer bin-for-bin.  (An epsilon-fuzzy
+   preference is not transitive and cannot be indexed.) *)
 
 let first_fit =
-  Engine.indexed_stateless "first-fit"
-    (fun ~now:_ ~open_bins item ->
-      choose_fitting (fun _ _ -> false) open_bins item)
-    (fun ~now:_ ~index item -> index.Engine.first_fit item)
+  stateless "first-fit" (fun ~now:_ ~index item -> index.Engine.first_fit item)
 
 let best_fit =
-  Engine.indexed_stateless "best-fit"
-    (fun ~now:_ ~open_bins item ->
-      choose_fitting
-        (fun a b -> a.Engine.level > b.Engine.level)
-        open_bins item)
-    (fun ~now:_ ~index item -> index.Engine.best_fit item)
+  stateless "best-fit" (fun ~now:_ ~index item -> index.Engine.best_fit item)
 
 let worst_fit =
-  Engine.indexed_stateless "worst-fit"
-    (fun ~now:_ ~open_bins item ->
-      choose_fitting
-        (fun a b -> a.Engine.level < b.Engine.level)
-        open_bins item)
-    (fun ~now:_ ~index item -> index.Engine.worst_fit item)
+  stateless "worst-fit" (fun ~now:_ ~index item -> index.Engine.worst_fit item)
 
 (* Tiny self-contained splitmix64 so the online library stays independent
    of the workload package; good enough for algorithmic coin flips. *)
@@ -73,20 +62,24 @@ let random_fit ~seed =
     make =
       (fun () ->
         let coin = Coin.make seed in
-        let decide ~now:_ ~open_bins item =
+        let decide ~now:_ ~index item =
           let fitting =
-            Array.of_list (List.filter (fun v -> fits v item) open_bins)
+            index.Engine.fold
+              (fun acc v -> if fits v item then v :: acc else acc)
+              []
           in
-          match Array.length fitting with
+          match List.length fitting with
           | 0 -> Engine.Open_new
-          | n -> Engine.Place fitting.(Coin.int coin n).Engine.index
+          | n ->
+              (* [fitting] is in reverse index order. *)
+              Engine.Place
+                (List.nth fitting (n - 1 - Coin.int coin n)).Engine.index
         in
         {
           Engine.decide;
           notify = (fun ~item:_ ~index:_ -> ());
           departed = Engine.default_departed;
         });
-    make_indexed = None;
   }
 
 let biased_open ~p ~seed =
@@ -96,28 +89,15 @@ let biased_open ~p ~seed =
     make =
       (fun () ->
         let coin = Coin.make seed in
-        let decide ~now:_ ~open_bins item =
+        let decide ~now:_ ~index item =
           if Coin.float coin < p then Engine.Open_new
-          else choose_fitting (fun _ _ -> false) open_bins item
+          else index.Engine.first_fit item
         in
         {
           Engine.decide;
           notify = (fun ~item:_ ~index:_ -> ());
           departed = Engine.default_departed;
         });
-    make_indexed =
-      Some
-        (fun () ->
-          let coin = Coin.make seed in
-          let i_decide ~now:_ ~index item =
-            if Coin.float coin < p then Engine.Open_new
-            else index.Engine.first_fit item
-          in
-          {
-            Engine.i_decide;
-            i_notify = (fun ~item:_ ~index:_ -> ());
-            i_departed = Engine.default_departed;
-          });
   }
 
 (* Next Fit: remember the index of the bin opened most recently by us; if
@@ -130,33 +110,11 @@ let next_fit =
     make =
       (fun () ->
         let current = ref None in
-        let decide ~now:_ ~open_bins item =
-          let current_view =
-            match !current with
-            | None -> None
-            | Some idx ->
-                List.find_opt (fun v -> v.Engine.index = idx) open_bins
-          in
-          match current_view with
+        let decide ~now:_ ~index item =
+          match Option.bind !current index.Engine.view with
           | Some v when fits v item -> Engine.Place v.Engine.index
           | Some _ | None -> Engine.Open_new
         in
         let notify ~item:_ ~index = current := Some index in
         { Engine.decide; notify; departed = Engine.default_departed });
-    make_indexed =
-      Some
-        (fun () ->
-          let current = ref None in
-          let i_decide ~now:_ ~index item =
-            let current_view =
-              match !current with
-              | None -> None
-              | Some idx -> index.Engine.view idx
-            in
-            match current_view with
-            | Some v when fits v item -> Engine.Place v.Engine.index
-            | Some _ | None -> Engine.Open_new
-          in
-          let i_notify ~item:_ ~index = current := Some index in
-          { Engine.i_decide; i_notify; i_departed = Engine.default_departed });
   }

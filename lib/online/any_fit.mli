@@ -19,21 +19,13 @@ open Dbp_core
 val fits : Engine.bin_view -> Item.t -> bool
 (** Capacity test at the arrival instant, with the shared tolerance. *)
 
-val choose_fitting :
-  (Engine.bin_view -> Engine.bin_view -> bool) ->
-  Engine.bin_view list ->
-  Item.t ->
-  Engine.decision
-(** [choose_fitting better views item] places into the fitting bin that is
-    maximal for [better] (a strict preference; the earliest-opened wins
-    ties because views come in opening order), or opens a new bin.
-
-    The Best/Worst Fit preferences are exact level comparisons (no
-    epsilon): an epsilon-fuzzy preference is not a total order, so it
-    could not be answered by the level-keyed trees of {!Fit_index}, and the
-    fuzz only mattered on levels closer than 1e-12 — indistinguishable
-    in any reported metric.  All three classic fits also carry an
-    indexed fast path making the same decisions in O(log n). *)
+(** The classic fits ask the engine's {!Engine.index} fit queries, so
+    they run in O(log n) on the flat and stream engines.  The Best/Worst
+    Fit preferences are exact level comparisons (no epsilon): an
+    epsilon-fuzzy preference is not a total order, so it could not be
+    answered by the level-keyed trees of {!Fit_index}, and the fuzz only
+    mattered on levels closer than 1e-12 — indistinguishable in any
+    reported metric. *)
 
 val first_fit : Engine.t
 val best_fit : Engine.t
@@ -42,7 +34,7 @@ val next_fit : Engine.t
 
 val random_fit : seed:int -> Engine.t
 (** An Any Fit member that picks uniformly among the fitting open bins
-    (deterministic given the seed).  Still subject to every Any Fit lower
+    (deterministic given the seed), found by folding over the index.  Still subject to every Any Fit lower
     bound: randomising the *choice* does not help when the trap is that
     some open bin fits at all. *)
 

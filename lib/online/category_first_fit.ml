@@ -1,40 +1,23 @@
 
-(* Fewest held indices that trigger a sweep of the indexed stepper. *)
+(* Fewest held indices that trigger a sweep. *)
 let min_sweep = 64
 
-let make ~name ~category =
-  let make_stepper () =
-    (* Closed bins keep a stale entry; harmless, they never reappear. *)
-    let bin_category : (int, string) Hashtbl.t = Hashtbl.create 32 in
-    let decide ~now:_ ~open_bins item =
-      let cat = category item in
-      let mine =
-        List.filter
-          (fun v ->
-            match Hashtbl.find_opt bin_category v.Engine.index with
-            | Some c -> String.equal c cat
-            | None -> false)
-          open_bins
-      in
-      Any_fit.choose_fitting (fun _ _ -> false) mine item
-    in
-    let notify ~item ~index = Hashtbl.replace bin_category index (category item) in
-    { Engine.decide; notify; departed = Engine.default_departed }
-  in
-  (* Indexed fast path: per category, the indices of the bins it owns in
-     opening order, scanned first-fit with O(1) [view] probes — the scan
-     touches only the category's bins instead of every open bin.  Closed
-     bins are pruned lazily when a scan walks over them (each is dropped
-     exactly once), so no departure-side bookkeeping is needed.
+(* Per category, the indices of the bins it owns in opening order,
+   scanned first-fit with O(1) [view] probes — the scan touches only the
+   category's bins instead of every open bin.  Closed bins are pruned
+   lazily when a scan walks over them (each is dropped exactly once), so
+   no departure-side bookkeeping is needed.
 
-     The state stays proportional to the open bins however long the
-     stepper runs, as a daemon's does.  A category whose list prunes to
-     empty is dropped.  A category whose items stopped arriving is never
-     scanned again (CBDT's departure windows slide past for good), so a
-     sweep prunes every list once the indices held have doubled since
-     the last sweep: amortised O(1) per opened bin.  Neither pruning
-     changes a decision — a scan skips closed bins anyway. *)
-  let make_indexed () =
+   The state stays proportional to the open bins however long the
+   stepper runs, as a daemon's does.  A category whose list prunes to
+   empty is dropped.  A category whose items stopped arriving is never
+   scanned again (CBDT's departure windows slide past for good), so a
+   sweep prunes every list once the indices held have doubled since the
+   last sweep: amortised O(1) per opened bin.  Neither pruning changes a
+   decision — a scan skips closed bins anyway. *)
+let make_per_run ~name per_run =
+  let make () =
+    let category, departed = per_run () in
     let by_category : (string, int list ref) Hashtbl.t = Hashtbl.create 32 in
     let held = ref 0 (* indices across all lists *) in
     let sweep_at = ref min_sweep in
@@ -55,7 +38,7 @@ let make ~name ~category =
       List.iter (Hashtbl.remove by_category) !emptied;
       sweep_at := max min_sweep (2 * !held)
     in
-    let i_decide ~now:_ ~index item =
+    let decide ~now:_ ~index item =
       if !held >= !sweep_at then sweep index;
       let cat = category item in
       match Hashtbl.find_opt by_category cat with
@@ -83,7 +66,7 @@ let make ~name ~category =
           in
           scan [] !idxs
     in
-    let i_notify ~item ~index =
+    let notify ~item ~index =
       (* A fresh bin carries the highest index so far, so a high-water
          mark tells it apart, and appending keeps the list in opening
          order. *)
@@ -96,6 +79,9 @@ let make ~name ~category =
         | None -> Hashtbl.add by_category cat (ref [ index ])
       end
     in
-    { Engine.i_decide; i_notify; i_departed = Engine.default_departed }
+    { Engine.decide; notify; departed }
   in
-  { Engine.name; make = make_stepper; make_indexed = Some make_indexed }
+  { Engine.name; make }
+
+let make ~name ~category =
+  make_per_run ~name (fun () -> (category, Engine.default_departed))

@@ -1,40 +1,41 @@
 open Dbp_core
 
 (* The bin's "departure" is the latest departure among its items placed
-   so far (future items may extend it; that is inherent to online).  The
-   engine's views carry the full bin state lazily; this is the one
-   in-repo algorithm that forces it. *)
-let bin_departure view =
-  Bin_state.items (Lazy.force view.Engine.state)
-  |> List.fold_left (fun acc r -> Float.max acc (Item.departure r)) neg_infinity
-
+   so far (future items may extend it; that is inherent to online): the
+   view's [latest_departure]. *)
 let make ?(window = 5.) () =
   if window < 0. then invalid_arg "Departure_aligned.make: window < 0";
-  Engine.stateless
-    (Printf.sprintf "aligned-ff(w=%g)" window)
-    (fun ~now:_ ~open_bins item ->
-      let candidates =
-        List.filter_map
-          (fun v ->
-            if Any_fit.fits v item then begin
-              let mismatch =
-                Float.abs (bin_departure v -. Item.departure item)
-              in
-              if mismatch <= window then Some (mismatch, v) else None
-            end
-            else None)
-          open_bins
-      in
-      match candidates with
-      | [] -> Engine.Open_new
-      | first :: rest ->
-          let _, best =
-            List.fold_left
-              (fun ((best_d, _) as acc) ((d, _) as c) ->
-                if d < best_d -. 1e-12 then c else acc)
-              first rest
-          in
-          Engine.Place best.Engine.index)
+  let decide ~now:_ ~index item =
+    (* Smallest mismatch within the window; a later bin must beat the
+       best so far by more than 1e-12 to displace it. *)
+    let best =
+      index.Engine.fold
+        (fun best v ->
+          if not (Any_fit.fits v item) then best
+          else
+            let mismatch =
+              Float.abs (v.Engine.latest_departure -. Item.departure item)
+            in
+            match best with
+            | _ when mismatch > window -> best
+            | Some (best_d, _) when not (mismatch < best_d -. 1e-12) -> best
+            | Some _ | None -> Some (mismatch, v.Engine.index))
+        None
+    in
+    match best with
+    | None -> Engine.Open_new
+    | Some (_, idx) -> Engine.Place idx
+  in
+  {
+    Engine.name = Printf.sprintf "aligned-ff(w=%g)" window;
+    make =
+      (fun () ->
+        {
+          Engine.decide;
+          notify = (fun ~item:_ ~index:_ -> ());
+          departed = Engine.default_departed;
+        });
+  }
 
 let tuned instance =
   let delta = Instance.min_duration instance in

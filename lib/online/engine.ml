@@ -4,37 +4,26 @@ type bin_view = {
   index : int;
   opened_at : float;
   level : float;
-  state : Bin_state.t Lazy.t;
+  latest_departure : float;
 }
 
 type decision = Place of int | Open_new
 
-type stepper = {
-  decide : now:float -> open_bins:bin_view list -> Item.t -> decision;
-  notify : item:Item.t -> index:int -> unit;
-  departed : Item.t -> unit;
-}
-
 type index = {
-  open_views : unit -> bin_view list;
+  fold : 'a. ('a -> bin_view -> 'a) -> 'a -> 'a;
   view : int -> bin_view option;
   first_fit : Item.t -> decision;
   best_fit : Item.t -> decision;
   worst_fit : Item.t -> decision;
-  open_count : unit -> int;
 }
 
-type indexed_stepper = {
-  i_decide : now:float -> index:index -> Item.t -> decision;
-  i_notify : item:Item.t -> index:int -> unit;
-  i_departed : Item.t -> unit;
+type stepper = {
+  decide : now:float -> index:index -> Item.t -> decision;
+  notify : item:Item.t -> index:int -> unit;
+  departed : Item.t -> unit;
 }
 
-type t = {
-  name : string;
-  make : unit -> stepper;
-  make_indexed : (unit -> indexed_stepper) option;
-}
+type t = { name : string; make : unit -> stepper }
 
 exception Invalid_decision of string
 
@@ -65,37 +54,36 @@ exception Err of error
 
 let default_departed (_ : Item.t) = ()
 
-let stateless name decide =
+(* The list-backed index.  The fit queries are scans with the strict
+   level preferences Fit_index's trees reproduce: ties go to the
+   earliest-opened bin, and worst fit's lowest-level bin fits exactly
+   when any bin does, since [level +. size] is monotone in [level]. *)
+let index_of_views views =
+  let arr = Array.of_list views in
+  let fits v item = Fit_index.fits_level v.level (Item.size item) in
+  let scan better item =
+    let pick = ref (-1) in
+    Array.iteri
+      (fun k v ->
+        if fits v item && (!pick < 0 || better v arr.(!pick)) then pick := k)
+      arr;
+    if !pick < 0 then Open_new else Place arr.(!pick).index
+  in
+  let rec search lo hi idx =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let c = Int.compare arr.(mid).index idx in
+      if c = 0 then Some arr.(mid)
+      else if c < 0 then search (mid + 1) hi idx
+      else search lo mid idx
+  in
   {
-    name;
-    make =
-      (fun () ->
-        {
-          decide;
-          notify = (fun ~item:_ ~index:_ -> ());
-          departed = default_departed;
-        });
-    make_indexed = None;
-  }
-
-let indexed_stateless name decide i_decide =
-  {
-    name;
-    make =
-      (fun () ->
-        {
-          decide;
-          notify = (fun ~item:_ ~index:_ -> ());
-          departed = default_departed;
-        });
-    make_indexed =
-      Some
-        (fun () ->
-          {
-            i_decide;
-            i_notify = (fun ~item:_ ~index:_ -> ());
-            i_departed = default_departed;
-          });
+    fold = (fun f init -> Array.fold_left f init arr);
+    view = (fun idx -> search 0 (Array.length arr) idx);
+    first_fit = scan (fun _ _ -> false);
+    best_fit = scan (fun a b -> a.level > b.level);
+    worst_fit = scan (fun a b -> a.level < b.level);
   }
 
 let fail e = raise (Err e)
@@ -111,13 +99,15 @@ let fail e = raise (Err e)
    [level] tracks their total size, so openness checks and level reads
    are O(1) instead of probing the level profile.  [level] is reset to 0
    whenever the bin empties, so float drift cannot accumulate across
-   open/close cycles. *)
+   open/close cycles.  [latest] is the running maximum of the placed
+   items' departures. *)
 type ref_bin = {
   idx : int;
   opened : float;
   mutable bin : Bin_state.t;
   mutable active : int;
   mutable level : float;
+  mutable latest : float;
 }
 
 (* Observer emissions pattern-match the option at each site so the
@@ -128,7 +118,7 @@ let reference_exn obs algo instance =
   let stepper = algo.make () in
   let bins : ref_bin list ref = ref [] (* reverse opening order *) in
   let home = Hashtbl.create 64 (* item id -> ref_bin *) in
-  let views _now =
+  let views () =
     List.rev !bins
     |> List.filter_map (fun lb ->
            if lb.active > 0 then
@@ -137,7 +127,7 @@ let reference_exn obs algo instance =
                  index = lb.idx;
                  opened_at = lb.opened;
                  level = lb.level;
-                 state = Lazy.from_val lb.bin;
+                 latest_departure = lb.latest;
                }
            else None)
   in
@@ -148,6 +138,7 @@ let reference_exn obs algo instance =
     lb.bin <- Bin_state.place lb.bin item;
     lb.active <- lb.active + 1;
     lb.level <- lb.level +. Item.size item;
+    lb.latest <- Float.max lb.latest (Item.departure item);
     Hashtbl.replace home (Item.id item) lb;
     (match obs with
     | Some o -> o.Observer.on_place ~time:now ~item ~bin:lb.idx
@@ -182,7 +173,9 @@ let reference_exn obs algo instance =
         (match obs with
         | Some o -> o.Observer.on_arrival ~time:now ~item
         | None -> ());
-        let decision = stepper.decide ~now ~open_bins:(views now) item in
+        let decision =
+          stepper.decide ~now ~index:(index_of_views (views ())) item
+        in
         (match obs with
         | Some o ->
             o.Observer.on_decision ~time:now ~item
@@ -197,6 +190,7 @@ let reference_exn obs algo instance =
                 bin = Bin_state.empty ~index:(List.length !bins);
                 active = 0;
                 level = 0.;
+                latest = neg_infinity;
               }
             in
             bins := lb :: !bins;
@@ -228,9 +222,10 @@ let reference_exn obs algo instance =
      opening/closing times in [floatarray]s, the newest link of the
      placement chain, and the bin's arena row while open;
    - per *open bin* (arena rows, recycled through a free stack when a
-     bin closes): level, active count, active-list ends and open-list
-     links.  Rows are reused on close/open cycles, so the hot working
-     set is O(max concurrent open bins), not O(bins ever opened).  The
+     bin closes): level, latest placed departure, active count,
+     active-list ends and open-list links.  Rows are reused on
+     close/open cycles, so the hot working set is O(max concurrent open
+     bins), not O(bins ever opened).  The
      {!Fit_index} leaves are deliberately *not* recycled: First Fit's
      leftmost descent needs leaves ordered by bin index, so a closed
      bin's leaf stays retired and only the row is reused.
@@ -251,9 +246,10 @@ let reference_exn obs algo instance =
    engine ([level +. size] on place; [0.] or [level -. size] on
    departure), the overflow check re-sums the active items in placement
    order (bit-identical to the reference's [Step_function.value_at] —
-   see {!Bin_state.of_placement}), and boxed [Bin_state] values are
-   reconstructed on demand from the placement chains, so the two
-   engines stay bit-identical on every deterministic algorithm. *)
+   see {!Bin_state.of_placement}), and the final packing's boxed
+   [Bin_state] values are reconstructed from the placement chains, so
+   the two engines stay bit-identical on every deterministic
+   algorithm. *)
 
 type flat = {
   items : Item.t array; (* slot -> item, ascending id *)
@@ -272,6 +268,7 @@ type flat = {
   (* arena rows: hot state of the open bins, recycled on close *)
   mutable r_bin : int array;
   mutable r_level : floatarray;
+  mutable r_latest : floatarray; (* running max of placed departures *)
   mutable r_active : int array;
   mutable r_head : int array; (* oldest active slot *)
   mutable r_tail : int array; (* newest active slot *)
@@ -308,6 +305,7 @@ let flat_create items =
     bins = 0;
     r_bin = Array.make 8 (-1);
     r_level = Float.Array.make 8 0.;
+    r_latest = Float.Array.make 8 neg_infinity;
     r_active = Array.make 8 0;
     r_head = Array.make 8 (-1);
     r_tail = Array.make 8 (-1);
@@ -356,6 +354,7 @@ let alloc_row fs =
     if fs.rows = Array.length fs.r_bin then begin
       fs.r_bin <- grow_int fs.r_bin (-1);
       fs.r_level <- grow_floats fs.r_level;
+      fs.r_latest <- grow_floats fs.r_latest;
       fs.r_active <- grow_int fs.r_active 0;
       fs.r_head <- grow_int fs.r_head (-1);
       fs.r_tail <- grow_int fs.r_tail (-1);
@@ -382,6 +381,7 @@ let open_new_bin fs now =
   fs.b_row.(b) <- r;
   fs.r_bin.(r) <- b;
   Float.Array.set fs.r_level r 0.;
+  Float.Array.set fs.r_latest r neg_infinity;
   fs.r_active.(r) <- 0;
   fs.r_head.(r) <- -1;
   fs.r_tail.(r) <- -1;
@@ -424,25 +424,21 @@ let placed_items fs last =
 
 let rebuild_bin fs b last = Bin_state.of_placement ~index:b (placed_items fs last)
 
-(* The placement chain links are immutable once written, so capturing
-   [b_last] eagerly makes the lazy state an exact snapshot of the bin at
-   view-creation time no matter when (or whether) it is forced. *)
 let flat_view fs r =
   let b = fs.r_bin.(r) in
-  let last = fs.b_last.(b) in
   {
     index = b;
     opened_at = Float.Array.get fs.b_opened b;
     level = Float.Array.get fs.r_level r;
-    state = lazy (rebuild_bin fs b last);
+    latest_departure = Float.Array.get fs.r_latest r;
   }
 
 let flat_index fs =
-  let open_views () =
+  let fold f init =
     let rec go r acc =
-      if r < 0 then List.rev acc else go fs.r_next.(r) (flat_view fs r :: acc)
+      if r < 0 then acc else go fs.r_next.(r) (f acc (flat_view fs r))
     in
-    go fs.open_head []
+    go fs.open_head init
   in
   let view b =
     if b < 0 || b >= fs.bins then None
@@ -456,12 +452,11 @@ let flat_index fs =
     | None -> Open_new
   in
   {
-    open_views;
+    fold;
     view;
     first_fit = query Fit_index.first_fit;
     best_fit = query Fit_index.best_fit;
     worst_fit = query Fit_index.worst_fit;
-    open_count = (fun () -> fs.open_n);
   }
 
 let mark_dirty fs b =
@@ -486,19 +481,7 @@ let flush_dirty fs =
    [indexed_exn] and [usage_exn] differ only in what they fold it
    into. *)
 let flat_run obs algo instance =
-  let stepper =
-    match algo.make_indexed with
-    | Some make -> make ()
-    | None ->
-        let s = algo.make () in
-        {
-          i_decide =
-            (fun ~now ~index item ->
-              s.decide ~now ~open_bins:(index.open_views ()) item);
-          i_notify = s.notify;
-          i_departed = s.departed;
-        }
-  in
+  let stepper = algo.make () in
   let items = Instance.to_array instance in
   let fs = flat_create items in
   let index = flat_index fs in
@@ -519,11 +502,16 @@ let flat_run obs algo instance =
     fs.r_tail.(r) <- slot;
     fs.r_active.(r) <- fs.r_active.(r) + 1;
     Float.Array.set fs.r_level r (Float.Array.get fs.r_level r +. size);
+    (* [Float.max] without its boxed call: +0. beats -0. as there, and
+       departures are never nan. *)
+    let d = Item.departure item and latest = Float.Array.get fs.r_latest r in
+    if d > latest || (d = latest && Float.sign_bit latest) then
+      Float.Array.set fs.r_latest r d;
     Fit_index.set_level fs.fit b (Float.Array.get fs.r_level r);
     (match obs with
     | Some o -> o.Observer.on_place ~time:now ~item ~bin:b
     | None -> ());
-    stepper.i_notify ~item ~index:b
+    stepper.notify ~item ~index:b
   in
   let depart t slot =
     let b = fs.item_bin.(slot) in
@@ -560,7 +548,7 @@ let flat_run obs algo instance =
         o.Observer.on_departure ~time:t ~item:fs.items.(slot);
         if a = 0 then o.Observer.on_close_bin ~time:t ~bin:b
     | None -> ());
-    stepper.i_departed fs.items.(slot)
+    stepper.departed fs.items.(slot)
   in
   let arrive now slot =
     (* End of the departure batch: settle the fit index before any
@@ -570,7 +558,7 @@ let flat_run obs algo instance =
     (match obs with
     | Some o -> o.Observer.on_arrival ~time:now ~item
     | None -> ());
-    let decision = stepper.i_decide ~now ~index item in
+    let decision = stepper.decide ~now ~index item in
     (match obs with
     | Some o ->
         o.Observer.on_decision ~time:now ~item

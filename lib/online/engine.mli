@@ -8,10 +8,12 @@
     which it is closed for good and never receives again (paper
     Section 5).
 
-    The engine owns the bins, exposes read-only views to the algorithm,
-    and validates every decision: placing into a closed bin, an unknown
-    bin, or over capacity raises {!Invalid_decision} — an algorithm bug,
-    never a property of the input.
+    The engine owns the bins and validates every decision: placing into
+    a closed bin, an unknown bin, or over capacity raises
+    {!Invalid_decision} — an algorithm bug, never a property of the
+    input.  An algorithm sees the bins through one query interface,
+    {!index}, whichever engine runs it: each algorithm has exactly one
+    decision rule.
 
     Two interchangeable engines implement this contract:
 
@@ -24,10 +26,11 @@
       equal-timestamp departures drained in a batch before the fit
       index is touched again.  An n-event run costs O(n (log n + a))
       where a is the concurrent active count of the touched bin; boxed
-      {!Bin_state} values exist only on demand (lazy views, the final
-      packing).
+      {!Bin_state} values are built only for the final packing.
     - {!run_reference}: the original list-walking engine, frozen as the
-      differential-testing oracle; Theta(n * bins-ever-opened).
+      differential-testing oracle; it hands each arrival an
+      {!index_of_views} over its open-bin list.
+      Theta(n * bins-ever-opened).
 
     Both must produce bit-identical packings — and byte-identical
     observer streams — for every deterministic algorithm, enforced by
@@ -39,20 +42,35 @@ type bin_view = {
   index : int;  (** opening order, 0-based *)
   opened_at : float;
   level : float;  (** total size of active items at the current instant *)
-  state : Bin_state.t Lazy.t;
-      (** The full bin state, materialised on first force.  The flat
-          engine stores only placement chains during a run; forcing
-          rebuilds the boxed {!Bin_state} (an exact snapshot of the bin
-          as of view creation, whenever the force happens) in
-          O(items log items).  Algorithms that only need [level] /
-          [opened_at] / [index] pay nothing. *)
+  latest_departure : float;
+      (** The latest departure among every item placed in the bin so
+          far, departed or not: a running [Float.max] each engine keeps
+          on place. *)
 }
 
 type decision = Place of int  (** bin index *) | Open_new
 
+type index = {
+  fold : 'a. ('a -> bin_view -> 'a) -> 'a -> 'a;
+      (** Fold over the open bins in index (opening) order, one view
+          each: O(open bins). *)
+  view : int -> bin_view option;
+      (** View of one bin; [None] if closed or never opened. *)
+  first_fit : Item.t -> decision;
+      (** Lowest-index open bin the item fits in. *)
+  best_fit : Item.t -> decision;
+      (** Highest-level fitting bin, ties to the lowest index. *)
+  worst_fit : Item.t -> decision;
+      (** Lowest-level open bin if the item fits there. *)
+}
+(** The open bins as an algorithm sees them.  All fit queries use the
+    shared admission predicate of {!Fit_index.fits_level}.  The flat
+    engine and [dbp serve]'s stream engine answer [view] in O(1) and the
+    fit queries in O(log n) through {!Fit_index}; {!index_of_views}
+    answers them by scanning a list. *)
+
 type stepper = {
-  decide : now:float -> open_bins:bin_view list -> Item.t -> decision;
-      (** [open_bins] are in opening order (index order). *)
+  decide : now:float -> index:index -> Item.t -> decision;
   notify : item:Item.t -> index:int -> unit;
       (** Called after every successful placement with the final bin index
           (freshly opened or existing), letting stateful algorithms track
@@ -63,46 +81,19 @@ type stepper = {
           online-trained duration predictor.  Default: ignore. *)
 }
 
-type index = {
-  open_views : unit -> bin_view list;
-      (** Views of the open bins in opening order — same list the plain
-          [decide] receives, materialised in O(open bins). *)
-  view : int -> bin_view option;
-      (** O(1) view of one bin; [None] if closed or never opened. *)
-  first_fit : Item.t -> decision;
-      (** Lowest-index open bin the item fits in, O(log n). *)
-  best_fit : Item.t -> decision;
-      (** Highest-level fitting bin, ties to the lowest index, O(log n). *)
-  worst_fit : Item.t -> decision;
-      (** Lowest-level open bin if the item fits there, O(log n). *)
-  open_count : unit -> int;
-}
-(** Query interface the indexed engine hands to indexed steppers in
-    place of a materialised view list.  All queries use the shared
-    admission predicate of {!Any_fit.fits}. *)
-
-type indexed_stepper = {
-  i_decide : now:float -> index:index -> Item.t -> decision;
-  i_notify : item:Item.t -> index:int -> unit;
-  i_departed : Item.t -> unit;
-}
-
 val default_departed : Item.t -> unit
 (** The no-op departure hook, for steppers built by hand. *)
 
-type t = {
-  name : string;
-  make : unit -> stepper;
-  make_indexed : (unit -> indexed_stepper) option;
-      (** Optional O(log n) fast path used by {!run_indexed} and by
-          [dbp serve]'s stream engine.  When
-          [None] the plain stepper is driven with views materialised
-          from the open list.  A fast path must make exactly the
-          decisions of the plain stepper: the differential suite runs
-          one against the other. *)
-}
+type t = { name : string; make : unit -> stepper }
 (** An online algorithm: a name for reports and a factory producing a
     fresh, independent stepper per run. *)
+
+val index_of_views : bin_view list -> index
+(** The index over a list of open-bin views in index order: [fold] walks
+    the list, [view] binary-searches an array built once per call, and
+    the fit queries scan.  What {!run_reference} and the engines that
+    keep their bins in lists ([Dbp_billing.Billed_engine],
+    [Dbp_faults.Resilient]) hand to [decide]. *)
 
 exception Invalid_decision of string
 (** Legacy fatal-path exception.  The engines now classify every fatal
@@ -143,19 +134,6 @@ val run_indexed_result :
 val run_reference_result :
   ?observer:Observer.t -> t -> Instance.t -> (Packing.t, error) result
 
-val stateless :
-  string -> (now:float -> open_bins:bin_view list -> Item.t -> decision) -> t
-(** An algorithm with no cross-arrival state beyond what the views carry. *)
-
-val indexed_stateless :
-  string ->
-  (now:float -> open_bins:bin_view list -> Item.t -> decision) ->
-  (now:float -> index:index -> Item.t -> decision) ->
-  t
-(** A stateless algorithm with both a view-list decide (used by
-    {!run_reference}) and an index-query decide (used by
-    {!run_indexed}).  The two must agree decision-for-decision. *)
-
 val run : ?observer:Observer.t -> t -> Instance.t -> Packing.t
 (** Feed the instance's event stream through a fresh stepper.  This is
     {!run_indexed}.
@@ -170,8 +148,7 @@ val run_indexed : ?observer:Observer.t -> t -> Instance.t -> Packing.t
 (** The indexed engine (see the module preamble). *)
 
 val run_reference : ?observer:Observer.t -> t -> Instance.t -> Packing.t
-(** The frozen list engine: the differential-testing oracle.  Always
-    drives the plain stepper, never the indexed fast path. *)
+(** The frozen list engine: the differential-testing oracle. *)
 
 val run_usage : ?observer:Observer.t -> t -> Instance.t -> float
 (** The flat engine's usage fast path: runs the same event loop as

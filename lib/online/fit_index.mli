@@ -3,7 +3,7 @@
     A pair of flat segment trees (min-level and max-level) over bin
     indices answer the three classic fit queries without allocating,
     with the exact same float predicate and tie-breaking as the list
-    scans in {!Any_fit} (fitting test
+    scans of {!Engine.index_of_views} (fitting test
     [level +. size <= capacity +. tolerance]; ties to the
     earliest-opened bin):
 

@@ -396,7 +396,13 @@ type drive = {
   mutable d_last_emit : string option;  (* socket mode echoes this back *)
 }
 
-(* Feed one line; false when the [max_arrivals] budget is spent. *)
+(* The [max_arrivals] budget is checked before a line is read, as
+   [Shard]'s loop does: a budget of n feeds exactly min(n, lines)
+   lines. *)
+let budget_left d =
+  match d.cfg.max_arrivals with Some n -> d.d_lines < n | None -> true
+
+(* Feed one line. *)
 let drive_line d ~depth line =
   let spans = d.host.spans in
   d.host.poll ();
@@ -434,14 +440,16 @@ let drive_line d ~depth line =
         cut_snapshot d.journal d.session);
   Sp.commit spans tk;
   if d.cfg.throttle_us > 0 then
-    Unix.sleepf (float_of_int d.cfg.throttle_us /. 1e6);
-  match d.cfg.max_arrivals with Some n -> d.d_lines < n | None -> true
+    Unix.sleepf (float_of_int d.cfg.throttle_us /. 1e6)
 
 let drive_channel d ic =
   let rec loop () =
-    match input_line ic with
-    | line -> if drive_line d ~depth:0 line then loop ()
-    | exception End_of_file -> ()
+    if budget_left d then
+      match input_line ic with
+      | line ->
+          drive_line d ~depth:0 line;
+          loop ()
+      | exception End_of_file -> ()
   in
   loop ()
 
@@ -451,21 +459,23 @@ let drive_channel d ic =
    behind the one being processed. *)
 let drive_socket d sock ~stop =
   let buf = Bytes.create 65536 in
-  let budget = ref true in
   let echo client =
     match d.d_last_emit with
     | None -> ()
     | Some line -> (
         (* Unix.write retries until every byte is out: the echo blocks
-           rather than drop, unless the client hung up. *)
+           rather than drop, unless the client hung up.  A client that
+           closed with echoes unread shows as ECONNRESET once, then
+           EPIPE. *)
         let payload = line ^ "\n" in
         match
           Unix.write_substring client payload 0 (String.length payload)
         with
         | _ -> ()
-        | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ())
+        | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+            ())
   in
-  while !budget && not !stop do
+  while budget_left d && not !stop do
     match Unix.accept sock with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | client, _ ->
@@ -475,19 +485,19 @@ let drive_socket d sock ~stop =
           (fun () ->
             let pending = Buffer.create 4096 in
             let connected = ref true in
-            while !connected && !budget && not !stop do
+            while !connected && budget_left d && not !stop do
               match Unix.read client buf 0 (Bytes.length buf) with
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-              | 0 -> connected := false
+              | 0 | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+                  connected := false
               | n ->
                   let lines = complete_lines pending buf n in
                   let depth = ref (List.length lines) in
                   List.iter
                     (fun line ->
-                      if !budget && not !stop then begin
+                      if budget_left d && not !stop then begin
                         decr depth;
-                        if not (drive_line d ~depth:!depth line) then
-                          budget := false;
+                        drive_line d ~depth:!depth line;
                         echo client
                       end)
                     lines

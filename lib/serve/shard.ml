@@ -432,7 +432,10 @@ let run cfg scfg =
              | _ -> ()
              | exception
                  Unix.Unix_error
-                   ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) ->
+                   ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE
+                     | Unix.ECONNRESET ),
+                     _,
+                     _ ) ->
                  ()));
     Fun.protect
       ~finally:(fun () ->

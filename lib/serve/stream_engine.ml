@@ -11,6 +11,7 @@ type bin = {
   idx : int;
   opened_at : float;
   mutable level : float;
+  mutable latest : float;  (* running max of placed departures *)
   mutable active : int;
   mutable residents : Item.t list;  (* reverse placement order *)
   mutable slot : int;  (* fit-index leaf *)
@@ -20,7 +21,7 @@ type bin = {
 
 type t = {
   algo : E.t;
-  stepper : E.indexed_stepper;
+  stepper : E.stepper;
   index : E.index;  (* the stepper's window onto this engine *)
   bins : (int, bin) Hashtbl.t;  (* open bins only *)
   active_ids : (int, unit) Hashtbl.t;
@@ -55,27 +56,23 @@ let bin_of t idx =
   | Some lb -> lb
   | None -> invalid_arg "Stream_engine.bin_of: not an open bin"
 
-(* [state] rebuilds the bin from the residents captured now, so forcing
-   it later still sees this instant. *)
 let view_of lb =
-  let index = lb.idx and residents = lb.residents in
   {
-    E.index;
+    E.index = lb.idx;
     opened_at = lb.opened_at;
     level = lb.level;
-    state = lazy (Bin_state.of_placement ~index (List.rev residents));
+    latest_departure = lb.latest;
   }
 
-(* Open-bin views in index order — the list a plain [decide] receives.
-   Only an algorithm without an indexed stepper ever asks for it. *)
-let views t =
+(* Open-bin views in index order. *)
+let fold t f init =
   let rec go idx acc =
-    if idx < 0 then List.rev acc
+    if idx < 0 then acc
     else
       let lb = bin_of t idx in
-      go lb.next (view_of lb :: acc)
+      go lb.next (f acc (view_of lb))
   in
-  go t.head []
+  go t.head init
 
 let view t idx = Option.map view_of (Hashtbl.find_opt t.bins idx)
 
@@ -84,34 +81,18 @@ let fit_query q t item =
   | Some slot -> E.Place t.slot_bin.(slot)
   | None -> E.Open_new
 
-(* The algorithm's indexed stepper, or its plain one fed the full view
-   list: the same fallback as the batch engine's. *)
-let indexed_stepper algo =
-  match algo.E.make_indexed with
-  | Some make -> make ()
-  | None ->
-      let s = algo.E.make () in
-      {
-        E.i_decide =
-          (fun ~now ~index item ->
-            s.E.decide ~now ~open_bins:(index.E.open_views ()) item);
-        i_notify = s.E.notify;
-        i_departed = s.E.departed;
-      }
-
 let create ?observer algo =
   let rec t =
     {
       algo;
-      stepper = indexed_stepper algo;
+      stepper = algo.E.make ();
       index =
         {
-          E.open_views = (fun () -> views t);
+          E.fold = (fun f init -> fold t f init);
           view = (fun idx -> view t idx);
           first_fit = (fun item -> fit_query Fit_index.first_fit t item);
           best_fit = (fun item -> fit_query Fit_index.best_fit t item);
           worst_fit = (fun item -> fit_query Fit_index.worst_fit t item);
-          open_count = (fun () -> Hashtbl.length t.bins);
         };
       bins = Hashtbl.create 64;
       active_ids = Hashtbl.create 64;
@@ -172,8 +153,8 @@ let append_bin t now =
   t.slot_bin.(slot) <- idx;
   Fit_index.open_bin t.fit slot;
   let lb =
-    { idx; opened_at = now; level = 0.; active = 0; residents = []; slot;
-      prev = t.tail; next = -1 }
+    { idx; opened_at = now; level = 0.; latest = neg_infinity; active = 0;
+      residents = []; slot; prev = t.tail; next = -1 }
   in
   Hashtbl.replace t.bins idx lb;
   if t.tail >= 0 then (bin_of t t.tail).next <- idx else t.head <- idx;
@@ -208,7 +189,7 @@ let depart t ~now item idx =
       o.Observer.on_departure ~time:now ~item;
       if lb.active = 0 then o.Observer.on_close_bin ~time:now ~bin:lb.idx
   | None -> ());
-  t.stepper.E.i_departed item
+  t.stepper.E.departed item
 
 let drain_until t upto =
   let rec go () =
@@ -226,6 +207,7 @@ type placement = { bin : int; opened : bool }
 let do_place t lb item =
   lb.active <- lb.active + 1;
   lb.level <- lb.level +. Item.size item;
+  lb.latest <- Float.max lb.latest (Item.departure item);
   lb.residents <- item :: lb.residents;
   Fit_index.set_level t.fit lb.slot lb.level;
   Hashtbl.replace t.active_ids (Item.id item) ();
@@ -234,7 +216,7 @@ let do_place t lb item =
   (match t.obs with
   | Some o -> o.Observer.on_place ~time:(Item.arrival item) ~item ~bin:lb.idx
   | None -> ());
-  t.stepper.E.i_notify ~item ~index:lb.idx
+  t.stepper.E.notify ~item ~index:lb.idx
 
 let arrive t item =
   let now = Item.arrival item in
@@ -245,7 +227,7 @@ let arrive t item =
   (match t.obs with
   | Some o -> o.Observer.on_arrival ~time:now ~item
   | None -> ());
-  let decision = t.stepper.E.i_decide ~now ~index:t.index item in
+  let decision = t.stepper.E.decide ~now ~index:t.index item in
   (match t.obs with
   | Some o ->
       o.Observer.on_decision ~time:now ~item

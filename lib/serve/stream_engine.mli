@@ -11,13 +11,12 @@
     - a doubly-linked open list in opening (index) order;
     - a {!Dbp_online.Fit_index} over the open bins' levels.
 
-    {b Decisions} go through the algorithm's indexed stepper
-    ([make_indexed]), handed one [Engine.index] built with the engine:
-    [view] is an O(1) probe of the bin table, and [first_fit],
-    [best_fit] and [worst_fit] are O(log n) fit-index queries.  No
-    arrival builds a view per open bin.  Only an algorithm without an
-    indexed stepper gets its plain [decide] fed [open_views], the full
-    list — the same fallback as the batch engine's.
+    {b Decisions} go through the algorithm's stepper, handed one
+    [Engine.index] built with the engine: [view] is an O(1) probe of the
+    bin table, [first_fit], [best_fit] and [worst_fit] are O(log n)
+    fit-index queries, and [fold] walks the open list.  Only the
+    algorithms that fold (random fit, departure alignment) build a view
+    per open bin.
 
     {b Slots.}  Each open bin holds one leaf slot of the fit index,
     handed out in opening order; a slot-to-bin array maps query results
@@ -37,18 +36,16 @@
     reachable words after 10^4 and 10^5 arrivals.
 
     Decisions are {b bit-identical} to [Engine.run] on the same arrival
-    sequence: views carry the same index/opened_at/level the batch
-    engine computes and the fit index sees the same levels (level
-    arithmetic mirrored operation-for-operation), departures drain
-    before arrivals at equal times with the same (time, id) tie-break,
-    and observer callbacks fire in the engine's documented order.  The
-    serve differential suites run every portfolio algorithm against
-    [Engine.run] and [Engine.run_reference] to enforce this, the latter
-    at a scale that forces many rebuilds.  The one deliberate
-    divergence: a view's lazy [state] rebuilds the bin from its {e
-    active} residents only (history is evicted), so algorithms that read
-    departed items out of [state] — none in the serve portfolio — are
-    out of contract.
+    sequence: views carry the same index/opened_at/level/latest_departure
+    the batch engine computes and the fit index sees the same levels
+    (level arithmetic mirrored operation-for-operation), departures
+    drain before arrivals at equal times with the same (time, id)
+    tie-break, and observer callbacks fire in the engine's documented
+    order.  The serve differential suites run every portfolio algorithm
+    against [Engine.run], and against its view-list oracle twin under
+    [Engine.run_reference] at a scale that forces many rebuilds.  A
+    view's [latest_departure] is a running maximum kept per bin, so it
+    survives the eviction of departed residents.
 
     Arrivals must be fed in nondecreasing time order ({!arrive} raises
     [Invalid_argument] otherwise — {!Session} rejects out-of-order input
@@ -63,8 +60,7 @@ type t
 type placement = { bin : int; opened : bool }
 
 val create : ?observer:Observer.t -> E.t -> t
-(** A fresh engine driving a fresh stepper of the algorithm: its indexed
-    one when it has one, else its plain one. *)
+(** A fresh engine driving a fresh stepper of the algorithm. *)
 
 val set_observer : t -> Observer.t option -> unit
 (** Swap the observer mid-stream (the shedding rung detaches it).

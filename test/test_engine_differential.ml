@@ -1,7 +1,8 @@
 (* Differential testing of the indexed engine against the frozen
    reference engine: on random instances, every deterministic algorithm
-   must produce the *same packing* (same bin index for every item) under
-   both engines, and the usage times must match exactly.
+   run by the indexed engine must produce the *same packing* (same bin
+   index for every item) as its view-list twin from Algo_oracle run by
+   the reference engine, and the usage times must match exactly.
 
    Two instance generators: general float-valued instances, and a
    tie-heavy grid generator (integer times, discrete sizes) that forces
@@ -13,23 +14,8 @@ open Dbp_core
 open Helpers
 module E = Dbp_online.Engine
 
-(* Deterministic algorithms only.  random-fit and biased-open are
-   deterministic given their seed: the engines call [decide] on the same
-   arrival sequence, so the coin streams align. *)
-let algorithms =
-  [
-    Dbp_online.Any_fit.first_fit;
-    Dbp_online.Any_fit.best_fit;
-    Dbp_online.Any_fit.worst_fit;
-    Dbp_online.Any_fit.next_fit;
-    Dbp_online.Any_fit.random_fit ~seed:7;
-    Dbp_online.Any_fit.biased_open ~p:0.25 ~seed:3;
-    Dbp_online.Hybrid_first_fit.make ();
-    Dbp_online.Departure_aligned.make ~window:2. ();
-    Dbp_online.Classify_departure.make ~rho:2. ();
-    Dbp_online.Classify_duration.make ~alpha:2. ();
-    Dbp_online.Classify_combined.make ~alpha:2. ();
-  ]
+let pairs = Algo_oracle.twins
+let algorithms = List.map fst pairs
 
 (* Integer arrival/departure grid with sizes from a small discrete set:
    maximal tie pressure. *)
@@ -50,8 +36,9 @@ let gen_tie_instance =
     in
     return (Instance.of_items items))
 
-let same_packing inst algo =
-  let reference = E.run_reference algo inst in
+let same_packing inst (algo, oracle) =
+  assert (String.equal algo.E.name oracle.E.name);
+  let reference = E.run_reference oracle inst in
   let indexed = E.run_indexed algo inst in
   let same_bins =
     List.for_all
@@ -68,30 +55,34 @@ let same_packing inst algo =
 
 let differential_tests =
   List.concat_map
-    (fun algo ->
+    (fun ((algo, _) as pair) ->
       let name = algo.E.name in
       [
         qtest ~count:400
           (Printf.sprintf "indexed = reference: %s" name)
           (gen_instance ~max_items:25 ())
-          (fun inst -> same_packing inst algo);
+          (fun inst -> same_packing inst pair);
         qtest ~count:200
           (Printf.sprintf "indexed = reference (ties): %s" name)
           gen_tie_instance
-          (fun inst -> same_packing inst algo);
+          (fun inst -> same_packing inst pair);
       ])
-    algorithms
+    pairs
 
-(* The tuned classifiers pick their parameters from the instance; cover
-   them too so the parameter plumbing goes through both engines. *)
+(* The tuned classifiers pick their parameters from the instance; their
+   twins re-derive the parameters, so the plumbing is checked too. *)
 let tuned_tests =
   [
     qtest ~count:500 "indexed = reference: cbdt-tuned"
       (gen_instance ~max_items:20 ())
-      (fun inst -> same_packing inst (Dbp_online.Classify_departure.tuned inst));
+      (fun inst ->
+        same_packing inst
+          (Dbp_online.Classify_departure.tuned inst, Algo_oracle.cbdt_tuned inst));
     qtest ~count:500 "indexed = reference: cbd-tuned"
       (gen_instance ~max_items:20 ())
-      (fun inst -> same_packing inst (Dbp_online.Classify_duration.tuned inst));
+      (fun inst ->
+        same_packing inst
+          (Dbp_online.Classify_duration.tuned inst, Algo_oracle.cbd_tuned inst));
   ]
 
 (* ---- adversarial instances against the flat engine ---------------------
@@ -104,41 +95,39 @@ let tuned_tests =
    ramps that retire one item per instant from shared bins. *)
 let adversarial_tests =
   List.concat_map
-    (fun algo ->
+    (fun ((algo, _) as pair) ->
       let name = algo.E.name in
       [
         qtest ~count:200
           (Printf.sprintf "indexed = reference (bursts): %s" name)
           (gen_burst_instance ())
-          (fun inst -> same_packing inst algo);
+          (fun inst -> same_packing inst pair);
         qtest ~count:200
           (Printf.sprintf "indexed = reference (one-ulp jobs): %s" name)
           (gen_tiny_duration_instance ())
-          (fun inst -> same_packing inst algo);
+          (fun inst -> same_packing inst pair);
         qtest ~count:200
           (Printf.sprintf "indexed = reference (duration ramps): %s" name)
           (gen_ramp_instance ())
-          (fun inst -> same_packing inst algo);
+          (fun inst -> same_packing inst pair);
       ])
-    algorithms
+    pairs
 
 (* Instances large enough to cross the fit index's and the arena's
    doubling boundaries (both start well below 200 leaves/rows), so
    growth-time blits are covered, not just the small steady state. *)
 let large_instance_tests =
   List.map
-    (fun algo ->
+    (fun ((algo, _) as pair) ->
       qtest ~count:30
         (Printf.sprintf "indexed = reference (200 items): %s" algo.E.name)
         (gen_instance ~max_items:200 ())
-        (fun inst -> same_packing inst algo))
-    [
-      Dbp_online.Any_fit.first_fit;
-      Dbp_online.Any_fit.best_fit;
-      Dbp_online.Any_fit.worst_fit;
-      Dbp_online.Any_fit.next_fit;
-      Dbp_online.Hybrid_first_fit.make ();
-    ]
+        (fun inst -> same_packing inst pair))
+    (List.filter
+       (fun (algo, _) ->
+         List.mem algo.E.name
+           [ "first-fit"; "best-fit"; "worst-fit"; "next-fit"; "hybrid-ff(4)" ])
+       pairs)
 
 (* run_usage is the bench's serving-path metric: it must agree bitwise
    with folding the full packing, on every generator in this file. *)

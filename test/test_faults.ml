@@ -11,21 +11,8 @@ module FP = Dbp_faults.Fault_plan
 module Rec = Dbp_faults.Recovery
 module R = Dbp_faults.Resilient
 
-(* Same deterministic set the engine differential suite uses. *)
-let algorithms =
-  [
-    Dbp_online.Any_fit.first_fit;
-    Dbp_online.Any_fit.best_fit;
-    Dbp_online.Any_fit.worst_fit;
-    Dbp_online.Any_fit.next_fit;
-    Dbp_online.Any_fit.random_fit ~seed:7;
-    Dbp_online.Any_fit.biased_open ~p:0.25 ~seed:3;
-    Dbp_online.Hybrid_first_fit.make ();
-    Dbp_online.Departure_aligned.make ~window:2. ();
-    Dbp_online.Classify_departure.make ~rho:2. ();
-    Dbp_online.Classify_duration.make ~alpha:2. ();
-    Dbp_online.Classify_combined.make ~alpha:2. ();
-  ]
+(* The engine differential suite's deterministic algorithms. *)
+let algorithms = List.map fst Algo_oracle.twins
 
 let stormy_spec =
   {
@@ -276,10 +263,10 @@ let test_resume_detects_mismatched_inputs () =
 (* ---- structured engine errors ---- *)
 
 let unknown_bin_algo =
-  E.stateless "always-99" (fun ~now:_ ~open_bins:_ _ -> E.Place 99)
+  Algo_oracle.of_views "always-99" (fun ~now:_ ~open_bins:_ _ -> E.Place 99)
 
 let overflow_algo =
-  E.stateless "cram-into-0" (fun ~now:_ ~open_bins _ ->
+  Algo_oracle.of_views "cram-into-0" (fun ~now:_ ~open_bins _ ->
       if open_bins = [] then E.Open_new else E.Place 0)
 
 let overlap_pair = instance [ (0.9, 0., 4.); (0.9, 1., 5.) ]

@@ -129,11 +129,10 @@ let test_engine_departure_hook_fires () =
         (fun () ->
           {
             Dbp_online.Engine.decide =
-              (fun ~now:_ ~open_bins:_ _ -> Dbp_online.Engine.Open_new);
+              (fun ~now:_ ~index:_ _ -> Dbp_online.Engine.Open_new);
             notify = (fun ~item:_ ~index:_ -> ());
             departed = (fun item -> seen := Item.id item :: !seen);
           });
-      make_indexed = None;
     }
   in
   let inst = instance [ (0.5, 0., 1.); (0.5, 0.5, 2.) ] in

@@ -32,23 +32,8 @@ let trace_indexed algo inst =
   ignore (E.run_indexed ~observer:(Obs.Trace.observer r) algo inst : Packing.t);
   Obs.Trace.to_jsonl r
 
-(* Same list as the engine differential suite: deterministic algorithms
-   (the seeded ones are deterministic given their seed, and both engines
-   present the same arrival sequence to the coin stream). *)
-let algorithms =
-  [
-    Dbp_online.Any_fit.first_fit;
-    Dbp_online.Any_fit.best_fit;
-    Dbp_online.Any_fit.worst_fit;
-    Dbp_online.Any_fit.next_fit;
-    Dbp_online.Any_fit.random_fit ~seed:7;
-    Dbp_online.Any_fit.biased_open ~p:0.25 ~seed:3;
-    Dbp_online.Hybrid_first_fit.make ();
-    Dbp_online.Departure_aligned.make ~window:2. ();
-    Dbp_online.Classify_departure.make ~rho:2. ();
-    Dbp_online.Classify_duration.make ~alpha:2. ();
-    Dbp_online.Classify_combined.make ~alpha:2. ();
-  ]
+(* The engine differential suite's deterministic algorithms. *)
+let algorithms = List.map fst Algo_oracle.twins
 
 let trace_identity_tests =
   List.map

@@ -369,18 +369,25 @@ let gen_compaction_instance =
     done;
     Dbp_core.Instance.of_items !items)
 
-(* The seven portfolio algorithms, plus one without an indexed stepper
-   to drive the engine's [open_views] fallback. *)
+(* The seven portfolio algorithms, plus random fit to drive the index's
+   [fold], each with its view-list twin from Algo_oracle. *)
 let compaction_algorithms =
-  Portfolio.algorithms () @ [ ("random-fit", Dbp_online.Any_fit.random_fit ~seed:7) ]
+  List.map
+    (fun (name, algo) -> (name, algo, List.assoc name Algo_oracle.portfolio))
+    (Portfolio.algorithms ())
+  @ [
+      ( "random-fit",
+        Dbp_online.Any_fit.random_fit ~seed:7,
+        Algo_oracle.random_fit ~seed:7 );
+    ]
 
 let prop_differential_compaction =
   qtest ~count:4 "stream engine = Engine.run_reference across index rebuilds"
     gen_compaction_instance (fun inst ->
       let arrivals = Dbp_core.Instance.arrivals_in_order inst in
       List.for_all
-        (fun (name, algo) ->
-          let packing = E.run_reference algo inst in
+        (fun (name, algo, oracle) ->
+          let packing = E.run_reference oracle inst in
           let e = Stream_engine.create algo in
           List.iter
             (fun item ->
@@ -435,8 +442,8 @@ let test_engine_memory_stays_bounded () =
         (float_of_int late <= 1.5 *. float_of_int early))
     [ "first-fit"; "cbdt-ff" ]
 
-(* Digests computed by the engine before it drove indexed steppers:
-   snapshots written then must still verify now. *)
+(* Digests pinned from an earlier version of the engine: snapshots
+   written then must still verify now. *)
 let test_digest_pinned () =
   let specs =
     [ (0.5, 0., 10.); (0.4, 1., 3.); (0.3, 2., 12.); (0.6, 2.5, 8.);

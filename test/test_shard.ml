@@ -570,8 +570,7 @@ let write_input dir n =
 (* Clean cuts: a run stopped by its arrival budget (final snapshot
    included), then resumed over the whole input.  Cut 0 is a daemon
    that never ran: --resume must start fresh, not die on the missing
-   journal.  The unsharded budget check runs after each line, so
-   [max_arrivals] below 1 still decides one line. *)
+   journal. *)
 let test_daemon_resume_at_every_cut_point () =
   in_tmp (fun dir ->
       let n = 10 in
@@ -612,6 +611,37 @@ let test_daemon_resume_at_every_cut_point () =
               (read_file (Filename.concat dir (prefix ^ ".out")))
           done)
         [ true; false ])
+
+(* The --max-arrivals budget means the same on both daemons: a budget of
+   k feeds exactly min(k, lines) lines, so "lines in", the journal bytes
+   and the summary agree with --shards 1 for every k, 0 included. *)
+let test_max_arrivals_same_on_both_daemons () =
+  in_tmp (fun dir ->
+      let n = 6 in
+      let input = write_input dir n in
+      List.iter
+        (fun k ->
+          let tag = Printf.sprintf "k%d" k in
+          let u =
+            daemon_ok
+              (daemon_cfg ~dir ~prefix:(tag ^ "u") ~snapshot:false
+                 ~max_arrivals:k ~input ())
+              (scfg "first-fit")
+          in
+          let s =
+            run_ok
+              (shard_cfg ~shards:1 ~dir ~prefix:(tag ^ "s") ~snapshot:false
+                 ~max_arrivals:k ~input ())
+              (scfg "first-fit")
+          in
+          check_int (tag ^ ": lines in") (min k n) u.Daemon.lines;
+          check_int (tag ^ ": lines in, --shards 1") u.Daemon.lines
+            s.Daemon.lines;
+          check_bool (tag ^ ": same summary") true (u = s);
+          check_string (tag ^ ": same journal bytes")
+            (read_file (Filename.concat dir (tag ^ "u.out")))
+            (read_file (Shard.segment_path (Filename.concat dir (tag ^ "s.out")) 0)))
+        [ 0; 1; 2; n ])
 
 let test_daemon_resume_truncates_torn_tail () =
   in_tmp (fun dir ->
@@ -1175,6 +1205,8 @@ let suite =
       test_config_rejections;
     Alcotest.test_case "daemon resume byte-identical at every cut point"
       `Quick test_daemon_resume_at_every_cut_point;
+    Alcotest.test_case "--max-arrivals: same budget on both daemons" `Quick
+      test_max_arrivals_same_on_both_daemons;
     Alcotest.test_case "daemon resume truncates a torn journal tail" `Quick
       test_daemon_resume_truncates_torn_tail;
     Alcotest.test_case "--resume without a journal starts fresh" `Quick
